@@ -27,7 +27,7 @@ from .oracle import (
     render_tree, satisfies, words_capped,
 )
 from .sat_checker import (
-    Eval1Result, Eval2Tuple, Verdict, eval1, eval2, render_state,
+    Eval1Result, Eval2Tuple, Verdict, compile_dtd, eval1, eval2, render_state,
     render_tuple_set, satisfiable,
 )
 from .schema_graph import (

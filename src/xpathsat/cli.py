@@ -3,7 +3,8 @@
 Subcommands: classify, sat, oracle, equiv, delta, graph.  Exit codes:
 0 positive answer (SAT / equivalent / success), 1 negative or unknown answer,
 2 malformed input, 3 DTD outside the supported class, 4 query outside both
-decision procedures.  All output is deterministic for fixed inputs.
+decision procedures, 5 internal error (a fault of the program, never an
+answer).  All output is deterministic for fixed inputs.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from . import content_model as cm
 from . import dtd as dtdmod
 from . import oracle as orc
 from .errors import DtdError, NotMRW, ParseError, UnsupportedFragment
-from .sat_checker import build_schema_graph, satisfiable
+from .sat_checker import compile_dtd, satisfiable
 from .xpath import parse_xpath, size
 
 EXIT_YES = 0
@@ -25,6 +26,7 @@ EXIT_NO = 1
 EXIT_INPUT = 2
 EXIT_NOT_MRW = 3
 EXIT_FRAGMENT = 4
+EXIT_INTERNAL = 5
 
 
 def _load_dtd(args) -> dtdmod.Dtd:
@@ -133,10 +135,7 @@ def _cmd_delta(args) -> int:
 
 
 def _cmd_graph(args) -> int:
-    d = _load_dtd(args)
-    dtdmod.validate_no_useless(d)
-    dd = dtdmod.delta_dtd(d)
-    g = build_schema_graph(dd)
+    g = compile_dtd(_load_dtd(args))
     if args.json:
         _emit_json(g.to_json_obj())
     else:
@@ -226,6 +225,10 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except Exception as exc:  # e.g. RecursionError on a very long query
+        detail = " ".join(f"{type(exc).__name__}: {exc}".split())
+        print(f"error: internal error: {detail}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def entry() -> None:

@@ -21,10 +21,12 @@ must be producible by a single word of its content model.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import TYPE_CHECKING, Iterable, Optional
 
 from .content_model import Concat, Disj, Epsilon, Expr, Star, Symbol, symbol_counts, symbols
-from .dtd import Dtd
+
+if TYPE_CHECKING:
+    from .dtd import Dtd
 
 Key = tuple[str, ...]
 DfsBits = tuple[bool, ...]
@@ -129,38 +131,57 @@ def render_map(m: SibMap) -> str:
 
 # --- coverability and consistency --------------------------------------------
 
-def coverable(e: Expr, s: Iterable[str]) -> bool:
-    """Can one word of L(e) contain every label of s?
+class Cover:
+    """A model prepared for `coverable`: its occurrence counts, and the label
+    set of every sub-expression `_cov` looks into, computed once."""
+
+    __slots__ = ("counts", "tree")
+
+    def __init__(self, e: Expr):
+        self.counts = symbol_counts(e)
+        self.tree = _annotate(e)
+
+
+def _annotate(e: Expr) -> tuple:
+    # (e, labels of e, annotated items of a concatenation or disjunction)
+    match e:
+        case Concat(items) | Disj(items):
+            kids = tuple(_annotate(it) for it in items)
+            return (e, frozenset().union(*(k[1] for k in kids)), kids)
+    return (e, symbols(e), ())
+
+
+def coverable(e: Expr | Cover, s: Iterable[str]) -> bool:
+    """Can one word of L(e) contain every label of s?  e is a model, or a
+    model prepared once with `Cover` (as `Dtd.covers` keeps them).
 
     Defined for MDF/DC models and label sets whose members occur exactly once
     in e; anything else is a caller bug and raises."""
+    cover = e if isinstance(e, Cover) else Cover(e)
     need = frozenset(s)
-    counts = symbol_counts(e)
     for lbl in need:
-        n = counts.get(lbl, 0)
+        n = cover.counts.get(lbl, 0)
         if n != 1:
             raise ValueError(
                 f"label {lbl!r} occurs {n} times in the model; "
                 "coverable needs exactly one occurrence"
             )
-    return _cov(e, need)
+    return _cov(cover.tree, need)
 
 
-def _cov(e: Expr, s: frozenset[str]) -> bool:
+def _cov(node: tuple, s: frozenset[str]) -> bool:
+    # s only holds labels of node's expression
     if not s:
         return True
+    e, labels, kids = node
     match e:
-        case Epsilon():
-            return False
-        case Symbol(name):
-            return s == frozenset({name})
-        case Star(item):
-            return s <= symbols(item)
-        case Concat(items):
+        case Epsilon() | Symbol(_) | Star(_):
+            return s <= labels
+        case Concat(_):
             # occurrences are unique, so membership splits s between factors
-            return all(_cov(it, s & symbols(it)) for it in items)
-        case Disj(items):
-            return any(s <= symbols(it) and _cov(it, s) for it in items)
+            return all(_cov(k, s & k[1]) for k in kids)
+        case Disj(_):
+            return any(s <= k[1] and _cov(k, s) for k in kids)
     raise ValueError("coverable needs an MDF/DC model")
 
 
@@ -174,7 +195,7 @@ def first_violation(m: SibMap, d: Dtd) -> Optional[SibEntry]:
         label = e.key[-1]
         if label not in d.rules:
             raise ValueError(f"map key ends in undeclared label {label!r}")
-        if not coverable(d.model(label), e.values):
+        if not coverable(d.covers[label], e.values):
             return e
     return None
 

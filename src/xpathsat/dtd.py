@@ -21,8 +21,10 @@ names a root.  The class predicates below are purely syntactic:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from . import content_model as cm
+from .constraints import Cover
 from .content_model import (
     Concat, Disj, Epsilon, Expr, Hash, Opt, Plus, Star, Symbol,
     concat_of, disj_of, parse_content_model, render, symbol_counts,
@@ -48,6 +50,11 @@ class Dtd:
     @property
     def labels(self) -> tuple[str, ...]:
         return self.order
+
+    @cached_property
+    def covers(self) -> dict[str, Cover]:
+        """Every rule prepared for `coverable`, once per instance."""
+        return {lbl: Cover(e) for lbl, e in self.rules.items()}
 
 
 # --- factor decomposition ---------------------------------------------------
@@ -192,15 +199,14 @@ def delta(e: Expr) -> Expr:
 
 
 def delta_dtd(d: Dtd) -> Dtd:
-    """Apply delta to every rule.  Requires an MRW DTD; the result is MDF/DC."""
+    """Apply delta to every rule.  Requires an MRW DTD; the result is MDF/DC,
+    which `SchemaGraph` checks when it is built."""
     new_rules: dict[str, Expr] = {}
     for lbl in d.labels:
         e = d.model(lbl)
         if not is_mrw(e):
             raise NotMRW(lbl, render(e))
-        de = delta(e)
-        assert is_mdf_dc(de), f"delta broke mdf_dc on {lbl}: {render(de)}"
-        new_rules[lbl] = de
+        new_rules[lbl] = delta(e)
     return Dtd(d.root, new_rules)
 
 
@@ -211,11 +217,13 @@ def validate_no_useless(d: Dtd) -> None:
     tree.  Both make schema-graph nodes meaningless."""
     reachable = {d.root}
     frontier = [d.root]
+    users: dict[str, list[str]] = {lbl: [] for lbl in d.labels}
     while frontier:
         lbl = frontier.pop()
         for s in cm.symbols(d.model(lbl)):
             if s not in d.rules:
                 raise DtdError(f"model of {lbl!r} uses undeclared label {s!r}")
+            users[s].append(lbl)
             if s not in reachable:
                 reachable.add(s)
                 frontier.append(s)
@@ -224,17 +232,15 @@ def validate_no_useless(d: Dtd) -> None:
         raise DtdError(f"unreachable labels: {', '.join(sorted(unreachable))}")
 
     # a label is productive once some word of its model uses only productive
-    # labels; iterate to the fixpoint
+    # labels; it is checked once, then again each time a label of its model
+    # becomes productive
     productive: set[str] = set()
-    changed = True
-    while changed:
-        changed = False
-        for lbl in d.labels:
-            if lbl in productive:
-                continue
-            if _some_word_within(d.model(lbl), productive):
-                productive.add(lbl)
-                changed = True
+    work = list(d.labels)
+    while work:
+        lbl = work.pop()
+        if lbl not in productive and _some_word_within(d.model(lbl), productive):
+            productive.add(lbl)
+            work.extend(users[lbl])
     dead = [lbl for lbl in d.labels if lbl not in productive]
     if dead:
         raise DtdError(f"labels with no finite tree: {', '.join(sorted(dead))}")

@@ -151,7 +151,7 @@ def eval1(graph: SchemaGraph, p: Path, trace: bool = True) -> Eval1Result:
             new_level = Level(
                 step.label, targets, len(targets) == 1 and targets[0].is_dfs
             )
-            if merged and not coverable(d.model(key[-1]), merged):
+            if merged and not coverable(d.covers[key[-1]], merged):
                 if trace:
                     state = render_state(levels + (new_level,), _as_map(bmap))
                     return unsat(
@@ -184,7 +184,7 @@ def eval1(graph: SchemaGraph, p: Path, trace: bool = True) -> Eval1Result:
             new_level = Level(
                 step.label, targets, len(targets) == 1 and targets[0].is_dfs
             )
-            if merged and not coverable(d.model(key[-1]), merged):
+            if merged and not coverable(d.covers[key[-1]], merged):
                 if trace:
                     state = render_state(levels[:-1] + (new_level,), _as_map(bmap))
                     return unsat(
@@ -292,44 +292,21 @@ def eval2(graph: SchemaGraph, p: Path, trace: Optional[list[str]] = None) -> tup
         case Seq(left, right):
             t1s = eval2(graph, left, trace)
             t2s = eval2(graph, right, trace)
-            out = []
-            for t1 in t1s:
-                for t2 in t2s:
-                    if t2.start != t1.end:
-                        continue
-                    post = t1.post.join(t2.post.shift(t1.rel, t1.rel_dfs))
-                    if not consistent(post, d):
-                        continue
-                    out.append(Eval2Tuple(
-                        start=t1.start,
-                        pre=t1.pre,
-                        end=t2.end,
-                        post=post,
-                        rel=t1.rel + t2.rel,
-                        rel_dfs=t1.rel_dfs + t2.rel_dfs,
-                    ))
+            out = [
+                Eval2Tuple(t1.start, t1.pre, t2.end, post,
+                           t1.rel + t2.rel, t1.rel_dfs + t2.rel_dfs)
+                for t1, t2, post in _joined(t1s, t2s, d)
+            ]
         case Qual(base, QPath(qpath)):
             t1s = eval2(graph, base, trace)
             t2s = eval2(graph, qpath, trace)
-            out = []
-            for t1 in t1s:
-                for t2 in t2s:
-                    if t2.start != t1.end:
-                        continue
-                    raw = t1.post.join(t2.post.shift(t1.rel, t1.rel_dfs))
-                    if not consistent(raw, d):
-                        continue
-                    # past the qualifier, only requirements pinned through
-                    # the anchor path stay binding
-                    filtered = raw.restrict(t1.rel + (t1.end.label,))
-                    out.append(Eval2Tuple(
-                        start=t1.start,
-                        pre=t1.pre,
-                        end=t1.end,
-                        post=filtered,
-                        rel=t1.rel,
-                        rel_dfs=t1.rel_dfs,
-                    ))
+            # past the qualifier, only requirements pinned through the anchor
+            # path stay binding
+            out = [
+                Eval2Tuple(t1.start, t1.pre, t1.end,
+                           post.restrict(t1.rel + (t1.end.label,)), t1.rel, t1.rel_dfs)
+                for t1, _, post in _joined(t1s, t2s, d)
+            ]
         case Qual(_, _):
             raise UnsupportedFragment("qualifier disjunction is outside eval2")
         case Union(_, _):
@@ -348,6 +325,19 @@ def eval2(graph: SchemaGraph, p: Path, trace: Optional[list[str]] = None) -> tup
     return result
 
 
+def _joined(t1s: tuple[Eval2Tuple, ...], t2s: tuple[Eval2Tuple, ...], d: Dtd):
+    """(t1, t2, joined map) for every t2 that starts where t1 ends and whose
+    map, shifted past t1, is consistent with t1's."""
+    by_start: dict[int, list[Eval2Tuple]] = {}
+    for t2 in t2s:
+        by_start.setdefault(t2.start.index, []).append(t2)
+    for t1 in t1s:
+        for t2 in by_start.get(t1.end.index, ()):
+            post = t1.post.join(t2.post.shift(t1.rel, t1.rel_dfs))
+            if consistent(post, d):
+                yield t1, t2, post
+
+
 def _accepting(t: Eval2Tuple, graph: SchemaGraph) -> bool:
     return t.start == graph.sentinel and t.pre.all_values_empty()
 
@@ -363,14 +353,24 @@ class Verdict:
     trace: tuple[str, ...]
 
 
+def compile_dtd(d: Dtd) -> SchemaGraph:
+    """The schema graph every query on d runs on: d checked for useless
+    labels, normalized by `delta_dtd` and built into a graph.  It is kept on
+    the Dtd instance after the first call, so a queried Dtd must not be
+    mutated; a DTD that fails a check is not kept and raises on every call."""
+    graph = vars(d).get("_schema_graph")
+    if graph is None:
+        validate_no_useless(d)
+        graph = vars(d)["_schema_graph"] = build_schema_graph(delta_dtd(d))
+    return graph
+
+
 def satisfiable(d: Dtd, query: Path | str) -> Verdict:
     """Decide whether any document conforming to d matches the query from its
     root.  Raises NotMRW/DtdError for out-of-class DTDs and
     UnsupportedFragment for queries outside both procedures."""
     p = parse_xpath(query) if isinstance(query, str) else query
-    validate_no_useless(d)
-    dd = delta_dtd(d)
-    graph = build_schema_graph(dd)
+    graph = compile_dtd(d)
     p = normalize(p)
     frag = fragment_of(p)
     if frag == "eval1":

@@ -127,17 +127,22 @@ class SchemaGraph:
         self.nodes: tuple[SgNode, ...] = tuple(nodes)
         self.sentinel: SgNode = nodes[0]
         children: dict[str, list[SgNode]] = {lbl: [] for lbl in d.labels}
+        by_label: dict[tuple[str, str], list[SgNode]] = {}
         for u in nodes[1:]:
             children[u.parent_label].append(u)
+            by_label.setdefault((u.parent_label, u.label), []).append(u)
         self._children: dict[str, tuple[SgNode, ...]] = {
             lbl: tuple(us) for lbl, us in children.items()
+        }
+        self._by_label: dict[tuple[str, str], tuple[SgNode, ...]] = {
+            key: tuple(us) for key, us in by_label.items()
         }
 
     def children(self, parent_label: str) -> tuple[SgNode, ...]:
         return self._children.get(parent_label, ())
 
     def children_with_label(self, parent_label: str, label: str) -> tuple[SgNode, ...]:
-        return tuple(u for u in self.children(parent_label) if u.label == label)
+        return self._by_label.get((parent_label, label), ())
 
     def edges(self) -> list[tuple[SgNode, SgNode]]:
         return [(u, v) for u in self.nodes for v in self.children(u.label)]

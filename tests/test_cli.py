@@ -168,6 +168,16 @@ def test_sat_query_parse_error(worked_file):
     assert err == "error: unexpected end of query\n"
 
 
+def test_sat_internal_error_exits_5(worked_file):
+    # deep enough to exhaust the interpreter's recursion limit; an internal
+    # error must never read as exit 1 (UNSAT)
+    q = "/".join(["↓::r"] * 1000)
+    code, out, err = run(["sat", "--dtd", worked_file, "--xpath", q])
+    assert (code, out) == (5, "")
+    assert err.startswith("error: internal error: RecursionError")
+    assert err.count("\n") == 1
+
+
 def test_sat_missing_dtd_file(tmp_path):
     code, out, err = run(["sat", "--dtd", str(tmp_path / "nope.dtd"), "--xpath", "↓::a"])
     assert code == 2

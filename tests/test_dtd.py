@@ -11,9 +11,10 @@ from xpathsat import (
     parse_content_model, parse_dtd, parse_xml_dtd, render, render_dtd,
     subsequence_preserves, validate_no_useless,
 )
-from xpathsat.content_model import concat_of, disj_of
+from xpathsat import dtd as dtd_module
+from xpathsat.content_model import concat_of, disj_of, symbols
 
-from gens import random_content_model, random_mrw_model
+from gens import random_content_model, random_mdf_dc_dtd, random_mrw_model
 
 F3 = "(a|b)*(c(a|b)*(d(a|b)*)?|d(a|b)*c(a|b)*)"
 
@@ -187,6 +188,103 @@ def test_validate_rejects_labels_without_finite_trees():
     d = parse_dtd("root r\nr := a\na := a\n")
     with pytest.raises(DtdError, match="finite"):
         validate_no_useless(d)
+
+
+def _validate_by_fixpoint(d):
+    """The productivity check as a rescan until nothing changes: the
+    reference the worklist in validate_no_useless must agree with."""
+    reachable = {d.root}
+    frontier = [d.root]
+    while frontier:
+        lbl = frontier.pop()
+        for s in symbols(d.model(lbl)):
+            if s not in d.rules:
+                raise DtdError(f"model of {lbl!r} uses undeclared label {s!r}")
+            if s not in reachable:
+                reachable.add(s)
+                frontier.append(s)
+    unreachable = [lbl for lbl in d.labels if lbl not in reachable]
+    if unreachable:
+        raise DtdError(f"unreachable labels: {', '.join(sorted(unreachable))}")
+    productive: set[str] = set()
+    changed = True
+    while changed:
+        changed = False
+        for lbl in d.labels:
+            if lbl not in productive and dtd_module._some_word_within(
+                d.model(lbl), productive
+            ):
+                productive.add(lbl)
+                changed = True
+    dead = [lbl for lbl in d.labels if lbl not in productive]
+    if dead:
+        raise DtdError(f"labels with no finite tree: {', '.join(sorted(dead))}")
+
+
+def _outcome(check, d):
+    try:
+        check(d)
+    except DtdError as exc:
+        return str(exc)
+    return None
+
+
+def test_validate_worklist_agrees_with_fixpoint():
+    rng = random.Random(1308)
+    labels = ("r", "a", "b", "c", "d")
+    outcomes = set()
+    for _ in range(400):
+        # arbitrary models over the declared labels plus, now and then, an
+        # undeclared one: some DTDs pass, others have unreachable, dead or
+        # undeclared labels
+        alphabet = labels + ("z",) if rng.random() < 0.1 else labels
+        rules = {lbl: random_content_model(rng, alphabet, depth=2) for lbl in labels}
+        d = Dtd("r", rules)
+        want = _outcome(_validate_by_fixpoint, d)
+        assert _outcome(validate_no_useless, d) == want, rules
+        outcomes.add(want.split(":")[0] if want else None)
+    for _ in range(100):
+        d = random_mdf_dc_dtd(rng)
+        assert _outcome(validate_no_useless, d) is None
+        assert _outcome(_validate_by_fixpoint, d) is None
+    assert {None, "unreachable labels", "labels with no finite tree"} <= outcomes
+
+
+def _subexprs(e):
+    yield e
+    match e:
+        case Concat(items) | Disj(items):
+            for it in items:
+                yield from _subexprs(it)
+        case Star(item) | Opt(item) | Plus(item):
+            yield from _subexprs(item)
+        case Hash(left, right):
+            for it in left + right:
+                yield from _subexprs(it)
+
+
+def test_validate_productivity_is_linear_on_a_top_down_chain(monkeypatch):
+    # x0 := x1, x1 := x2, ..., declared top-down: a rescan until fixpoint
+    # learns one label per pass, the worklist one label per check
+    n = 200
+    rules = {f"x{i}": Symbol(f"x{i + 1}") for i in range(n - 1)}
+    rules[f"x{n - 1}"] = Epsilon()
+    d = Dtd("x0", rules)
+    calls = 0
+    original = dtd_module._some_word_within
+
+    def counted(e, allowed):
+        nonlocal calls
+        calls += 1
+        return original(e, allowed)
+
+    monkeypatch.setattr(dtd_module, "_some_word_within", counted)
+    validate_no_useless(d)
+    total = sum(len(list(_subexprs(e))) for e in rules.values())
+    assert calls <= 2 * total
+    calls = 0
+    _validate_by_fixpoint(d)
+    assert calls > 10 * total  # the reference really is quadratic here
 
 
 # --- native format ----------------------------------------------------------------

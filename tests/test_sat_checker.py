@@ -7,6 +7,8 @@ import random
 import pytest
 
 from xpathsat import (
+    Dtd,
+    DtdError,
     NotMRW,
     UnsupportedFragment,
     build_schema_graph,
@@ -16,9 +18,12 @@ from xpathsat import (
     parse_xpath,
     satisfiable,
 )
-from xpathsat.constraints import SibMap, render_map
+from xpathsat.constraints import SibMap, consistent, render_map
+from xpathsat.content_model import Star, Symbol, disj_of
+from xpathsat import sat_checker
 from xpathsat.oracle import oracle_satisfiable
-from xpathsat.sat_checker import eval1, eval2, render_tuple_set
+from xpathsat.sat_checker import Eval2Tuple, compile_dtd, eval1, eval2, render_tuple_set
+from xpathsat.xpath import Qual, Seq, normalize
 
 from gens import (
     random_eval1_query,
@@ -375,3 +380,105 @@ def test_small_differential_against_oracle():
                 assert got == (witness is not None), (d.rules, p)
                 checked += 1
     assert checked >= 60
+
+
+# ------------------------------------------------------------- compile once
+
+
+def _count_calls(monkeypatch, module, name, counts):
+    original = getattr(module, name)
+
+    def counted(*args):
+        counts[name] = counts.get(name, 0) + 1
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+def test_dtd_is_compiled_once_per_instance(monkeypatch):
+    counts: dict[str, int] = {}
+    for name in ("validate_no_useless", "delta_dtd", "build_schema_graph"):
+        _count_calls(monkeypatch, sat_checker, name, counts)
+    d = parse_dtd(WORKED)
+    for _ in range(5):
+        assert satisfiable(d, SAT_QUERY).sat
+        assert not satisfiable(d, UNSAT_QUERY).sat
+        assert satisfiable(d, "↓::r/→⁺::b[↓::a]").sat
+    assert counts == {"validate_no_useless": 1, "delta_dtd": 1, "build_schema_graph": 1}
+    satisfiable(parse_dtd(WORKED), SAT_QUERY)  # an equal but new Dtd compiles again
+    assert counts["build_schema_graph"] == 2
+
+
+def test_failed_compile_raises_on_every_call(monkeypatch):
+    counts: dict[str, int] = {}
+    _count_calls(monkeypatch, sat_checker, "validate_no_useless", counts)
+    not_mrw = parse_dtd("root r\nr := a|aa\na := eps\n")
+    useless = parse_dtd("root r\nr := a\na := eps\nb := eps\n")
+    for _ in range(3):
+        with pytest.raises(NotMRW, match="'r'"):
+            satisfiable(not_mrw, "↓::a")
+        with pytest.raises(DtdError, match="unreachable labels: b"):
+            satisfiable(useless, "↓::a")
+    assert counts["validate_no_useless"] == 6
+
+
+def _dense_dtd(n: int) -> Dtd:
+    body = Star(disj_of([Symbol(f"x{i}") for i in range(n)]))
+    return Dtd("r", {"r": body, **{f"x{i}": body for i in range(n)}})
+
+
+def test_reused_dtd_answers_like_a_fresh_one():
+    rng = random.Random(1550)
+    cases = []
+    for _ in range(8):
+        d = random_mdf_dc_dtd(rng)
+        cases += [(d, random_eval1_query(rng, d)) for _ in range(4)]
+        cases += [(d, random_eval2_query(rng, d)) for _ in range(4)]
+    dense = _dense_dtd(10)
+    cases += [(dense, random_eval2_query(rng, dense, budget=3)) for _ in range(12)]
+    for d, _ in cases:
+        compile_dtd(d)
+    sat = set()
+    for d, q in cases:
+        reused = satisfiable(d, q)
+        fresh = satisfiable(Dtd(d.root, dict(d.rules)), q)
+        assert reused == fresh, (d.rules, q)
+        sat.add((reused.algorithm, reused.sat))
+    assert sat == {("eval1", True), ("eval1", False), ("eval2", True), ("eval2", False)}
+
+
+def _join_by_definition(graph, p):
+    """eval2 of a Seq or Qual node as its definition reads: every pair of
+    sub-results whose places meet, kept when the joined map is consistent."""
+    seq = isinstance(p, Seq)
+    t1s = eval2(graph, p.left if seq else p.base)
+    t2s = eval2(graph, p.right if seq else p.qual.path)
+    out = set()
+    for t1 in t1s:
+        for t2 in t2s:
+            post = t1.post.join(t2.post.shift(t1.rel, t1.rel_dfs))
+            if t2.start != t1.end or not consistent(post, graph.dtd):
+                continue
+            if seq:
+                out.add(Eval2Tuple(t1.start, t1.pre, t2.end, post,
+                                   t1.rel + t2.rel, t1.rel_dfs + t2.rel_dfs))
+            else:
+                out.add(Eval2Tuple(t1.start, t1.pre, t1.end,
+                                   post.restrict(t1.rel + (t1.end.label,)),
+                                   t1.rel, t1.rel_dfs))
+    return out
+
+
+def test_eval2_joins_match_their_definition_on_a_dense_dtd():
+    # 111 places, so a join that matched places by anything but identity
+    # would pair tuples that do not meet
+    rng = random.Random(4242)
+    d = _dense_dtd(10)
+    g = compile_dtd(d)
+    kinds = set()
+    for _ in range(8):
+        p = normalize(random_eval2_query(rng, d, budget=3))
+        assert isinstance(p, (Seq, Qual))
+        assert set(eval2(g, p)) == _join_by_definition(g, p), p
+        kinds.add(type(p))
+    assert kinds == {Seq, Qual}
