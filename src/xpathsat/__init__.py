@@ -23,8 +23,8 @@ from .dtd import (
 from .errors import DtdError, NotMRW, ParseError, UnsupportedFragment
 from .oracle import (
     DocTree, beta_satisfied, compute_sg_mappings, conforms, enumerate_trees,
-    eval_xpath_full, find_beta_witness, oracle_satisfiable, parse_tree,
-    render_tree, satisfies, words_capped,
+    eval_xpath_full, find_beta_witness, iter_trees, oracle_satisfiable,
+    parse_tree, render_tree, satisfies, words_capped,
 )
 from .sat_checker import (
     Eval1Result, Eval2Tuple, Verdict, compile_dtd, eval1, eval2, render_state,

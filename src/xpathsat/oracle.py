@@ -3,16 +3,19 @@
 Everything here is independent of the schema-graph machinery: documents are
 actual trees, queries run by their textbook semantics (all six axes, union,
 qualifiers with both connectives), and satisfiability is approximated by
-enumerating every conforming tree within a depth bound and a per-star
-repetition bound.  A found witness is definitive; exhaustion of the bound is
-reported as unknown, never as unsatisfiable.
+checking the conforming trees within a depth bound and a per-star repetition
+bound.  They come smallest first, by node count and then preorder labels,
+and the search stops at the first witness.  A found witness is definitive;
+exhaustion of the bound is reported as unknown, never as unsatisfiable.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
+from math import inf, prod
 
 from . import content_model as cm
 from .content_model import (
@@ -271,33 +274,89 @@ def min_heights(d: Dtd) -> dict[str, int]:
     return {lbl: (int(v) if v != INF else -1) for lbl, v in h.items()}
 
 
-def enumerate_trees(d: Dtd, depth: int, rep: int) -> list[DocTree]:
+def iter_trees(d: Dtd, depth: int, rep: int) -> Iterator[DocTree]:
     """Every conforming tree of depth <= depth whose children words stay
-    within the repetition bound, sorted by size then preorder labels."""
+    within the repetition bound, smallest first: by node count, then by
+    preorder labels.  Trees tied on both come in word-then-product order: by
+    their children word among the sorted words, then by their children's own
+    positions in that order.
+
+    Trees are built one node count at a time from per-call tables of the
+    subtrees of each `(label, height budget, node count)`; nothing outlives
+    the call, and a caller that stops early never builds the larger trees."""
     heights = min_heights(d)
 
     @lru_cache(maxsize=None)
-    def trees_for(label: str, budget: int) -> tuple[DocTree, ...]:
-        if heights[label] < 0 or heights[label] > budget:
-            return ()
-        out: list[DocTree] = []
-        for word in sorted(words_capped(d.model(label), rep)):
-            if any(heights[lbl] < 0 or heights[lbl] > budget - 1 for lbl in word):
-                continue
-            child_choices = [trees_for(lbl, budget - 1) for lbl in word]
-            for combo in product(*child_choices):
-                out.append(DocTree(label, combo))
-        return tuple(out)
+    def words_of(label: str) -> list[Word]:
+        return sorted(words_capped(d.model(label), rep))
 
-    trees = list(trees_for(d.root, depth))
-    trees.sort(key=lambda t: (t.node_count(), t.preorder_labels()))
-    return trees
+    @lru_cache(maxsize=None)
+    def shape(label: str, budget: int) -> tuple[int, float, int, list]:
+        # tree count, least and greatest node count, and the words that root
+        # some tree, each with its rank offset and its children's shapes
+        total, lo, hi, live = 0, inf, 0, []
+        if 0 <= heights[label] <= budget:
+            for word in words_of(label):
+                if any(heights[lbl] < 0 or heights[lbl] > budget - 1 for lbl in word):
+                    continue
+                kids = [shape(lbl, budget - 1) for lbl in word]
+                if n := prod(k[0] for k in kids):
+                    live.append((word, total, kids))
+                    total += n
+                    lo = min(lo, 1 + sum(k[1] for k in kids))
+                    hi = max(hi, 1 + sum(k[2] for k in kids))
+        return total, lo, hi, live
+
+    def splits(kids: list, total: int) -> Iterator[tuple[int, ...]]:
+        # node counts, one per child within its shape, adding up to total
+        if not kids:
+            if total == 0:
+                yield ()
+            return
+        rest = kids[1:]
+        least = max(kids[0][1], total - sum(k[2] for k in rest))
+        most = min(kids[0][2], total - sum(k[1] for k in rest))
+        for n in range(least, most + 1):
+            for tail in splits(rest, total - n):
+                yield (n, *tail)
+
+    def build(label: str, budget: int, size: int) -> Iterator[tuple]:
+        # (preorder labels, rank among all trees of label and budget, tree);
+        # the rank is the tree's mixed-radix position in word-then-product order
+        for word, offset, kids in shape(label, budget)[3]:
+            radices = [k[0] for k in kids]
+            for sizes in splits(kids, size - 1):
+                tables = [table(lbl, budget - 1, n) for lbl, n in zip(word, sizes)]
+                for combo in product(*tables):
+                    pres, ranks, trees = zip(*combo) if combo else ((), (), ())
+                    rank = 0
+                    for k, r in zip(radices, ranks):
+                        rank = rank * k + r
+                    yield sum(pres, (label,)), offset + rank, DocTree(label, trees)
+
+    @lru_cache(maxsize=None)
+    def table(label: str, budget: int, size: int) -> tuple[tuple, ...]:
+        return tuple(build(label, budget, size))
+
+    count, lo, hi, _ = shape(d.root, depth)
+    if not count:
+        return
+    for size in range(lo, hi + 1):
+        for _, _, t in sorted(build(d.root, depth, size)):
+            yield t
+
+
+def enumerate_trees(d: Dtd, depth: int, rep: int) -> list[DocTree]:
+    """Every tree of `iter_trees`, smallest first: by node count, then by
+    preorder labels."""
+    return list(iter_trees(d, depth, rep))
 
 
 def oracle_satisfiable(d: Dtd, p: Path, depth: int, rep: int) -> DocTree | None:
-    """First conforming tree (smallest-first) matching p, or None when the
-    bounded search is exhausted.  None means unknown, not unsatisfiable."""
-    for t in enumerate_trees(d, depth, rep):
+    """First conforming tree (smallest first: node count, then preorder
+    labels) matching p; the search stops there.  None when the bounded
+    search is exhausted, which means unknown, not unsatisfiable."""
+    for t in iter_trees(d, depth, rep):
         if satisfies(t, p):
             return t
     return None
@@ -410,9 +469,9 @@ def beta_satisfied(t: DocTree, theta, b, d: Dtd) -> bool:
 
 
 def find_beta_witness(d: Dtd, b, depth: int, rep: int):
-    """Bounded search for (tree, mapping) witnessing the map b; None if the
-    bound is exhausted."""
-    for t in enumerate_trees(d, depth, rep):
+    """Bounded search, smallest tree first, for (tree, mapping) witnessing
+    the map b; None if the bound is exhausted."""
+    for t in iter_trees(d, depth, rep):
         if beta_satisfied(t, None, b, d):
             mappings = compute_sg_mappings(t, d)
             if mappings:

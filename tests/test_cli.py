@@ -203,6 +203,12 @@ def test_oracle_witness(worked_file):
     assert (code, out) == (0, "SAT r(r(c),b(a))\n")
 
 
+def test_oracle_readme_quick_start(worked_file):
+    # default bounds: depth 4, rep max(2, query size)
+    code, out, _ = run(["oracle", "--dtd", worked_file, "--xpath", "↓::r/→⁺::b"])
+    assert (code, out) == (0, "SAT r(r(c),b(a))\n")
+
+
 def test_oracle_unknown(worked_file):
     code, out, _ = run(
         ["oracle", "--dtd", worked_file, "--xpath", UNSAT_Q, "--depth", "3", "--rep", "2"]

@@ -3,18 +3,22 @@
 from __future__ import annotations
 
 import random
+from functools import lru_cache
+from itertools import product
 
 import pytest
 
-from xpathsat import ParseError, parse_content_model, parse_dtd, parse_xpath
+from xpathsat import ParseError, oracle, parse_content_model, parse_dtd, parse_xpath
 from xpathsat.constraints import SibMap
 from xpathsat.oracle import (
+    DocTree,
     beta_satisfied,
     compute_sg_mappings,
     conforms,
     enumerate_trees,
     eval_xpath_full,
     find_beta_witness,
+    iter_trees,
     min_heights,
     node_at,
     oracle_satisfiable,
@@ -191,6 +195,91 @@ def test_enumerate_trees_on_random_dtds():
             assert conforms(t, d)
         assert len({render_tree(t) for t in trees}) == len(trees)
         seen += 1
+
+
+def _enumerate_trees_by_sorting(d, depth, rep):
+    """Every tree built first, then stably sorted by size and preorder
+    labels: the reference the stream of iter_trees must reproduce."""
+    heights = min_heights(d)
+
+    @lru_cache(maxsize=None)
+    def trees_for(label: str, budget: int) -> tuple[DocTree, ...]:
+        if heights[label] < 0 or heights[label] > budget:
+            return ()
+        out: list[DocTree] = []
+        for word in sorted(words_capped(d.model(label), rep)):
+            if any(heights[lbl] < 0 or heights[lbl] > budget - 1 for lbl in word):
+                continue
+            child_choices = [trees_for(lbl, budget - 1) for lbl in word]
+            for combo in product(*child_choices):
+                out.append(DocTree(label, combo))
+        return tuple(out)
+
+    trees = list(trees_for(d.root, depth))
+    trees.sort(key=lambda t: (t.node_count(), t.preorder_labels()))
+    return trees
+
+
+def _assert_stream_matches_reference(d, depth, rep):
+    want = _enumerate_trees_by_sorting(d, depth, rep)
+    assert list(iter_trees(d, depth, rep)) == want, (depth, rep)
+    assert enumerate_trees(d, depth, rep) == want
+
+
+def test_iter_trees_matches_reference_on_random_dtds():
+    rng = random.Random(2008)
+    seen = 0
+    while seen < 100:
+        d = random_mdf_dc_dtd(rng)
+        if tree_count(d, 2) > 3000:
+            continue
+        for depth in range(1, 5):
+            for rep in (1, 2):
+                _assert_stream_matches_reference(d, depth, rep)
+        seen += 1
+
+
+def test_iter_trees_matches_reference_on_worked_dtd():
+    for depth in range(1, 4):
+        for rep in (1, 2):
+            _assert_stream_matches_reference(worked(), depth, rep)
+
+
+def test_iter_trees_keeps_the_order_of_tied_keys():
+    # r(s(a)) and r(s,a) share size and preorder labels: only the rank
+    # among the unsorted trees tells them apart
+    d = parse_dtd("root r\nr := s*a?\ns := s?a?\na := eps\n")
+    for depth in range(2, 5):
+        for rep in (1, 2):
+            _assert_stream_matches_reference(d, depth, rep)
+    keys = [(t.node_count(), t.preorder_labels()) for t in iter_trees(d, 4, 2)]
+    assert len(keys) - len(set(keys)) == 142
+    # r(s(b,c),d(d)) and r(s(b(c,d)),d) tie, and the second comes first:
+    # s's word (b) sorts before (b,c) although its first child is larger
+    d = parse_dtd("root r\nr := s d\ns := b c?\nb := (c d)?\nc := eps\nd := d?\n")
+    for depth in range(3, 6):
+        _assert_stream_matches_reference(d, depth, 2)
+    trees = [render_tree(t) for t in iter_trees(d, 4, 2)]
+    assert trees.index("r(s(b(c,d)),d)") < trees.index("r(s(b,c),d(d))")
+
+
+def test_oracle_stops_at_the_first_witness(monkeypatch):
+    # README quick start at the CLI defaults: the whole bounded space is far
+    # too large to build, the witness has five nodes
+    built = 0
+
+    class CountedTree(DocTree):
+        __slots__ = ()
+
+        def __new__(cls, *args, **kwargs):
+            nonlocal built
+            built += 1
+            return super().__new__(cls)
+
+    monkeypatch.setattr(oracle, "DocTree", CountedTree)
+    w = oracle_satisfiable(worked(), parse_xpath("↓::r/→⁺::b"), depth=4, rep=2)
+    assert render_tree(w) == "r(r(c),b(a))"
+    assert built < 100
 
 
 def test_words_capped_golden():
