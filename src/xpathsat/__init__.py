@@ -8,8 +8,7 @@ and ships a bounded exhaustive oracle to cross-check every answer.
 from .content_model import (
     Concat, Disj, Epsilon, Expr, Hash, Opt, Plus, Star, Symbol,
     enumerate_words, equivalence_counterexample, equivalent, expand_hash,
-    matches, parse_content_model, render, subsequence_matches,
-    subsequence_preserves,
+    matches, parse_content_model, render,
 )
 from .constraints import (
     SibEntry, SibMap, consistent, coverable, first_violation, psi,
@@ -22,12 +21,11 @@ from .dtd import (
 )
 from .errors import DtdError, NotMRW, ParseError, UnsupportedFragment
 from .oracle import (
-    DocTree, beta_satisfied, compute_sg_mappings, conforms, enumerate_trees,
-    eval_xpath_full, find_beta_witness, iter_trees, oracle_satisfiable,
-    parse_tree, render_tree, satisfies, words_capped,
+    DocTree, conforms, enumerate_trees, eval_xpath_full, iter_trees,
+    oracle_satisfiable, parse_tree, render_tree, satisfies, words_capped,
 )
 from .sat_checker import (
-    Eval1Result, Eval2Tuple, Verdict, compile_dtd, eval1, eval2, render_state,
+    Eval2Tuple, Verdict, compile_dtd, eval1, eval2, render_state,
     render_tuple_set, satisfiable,
 )
 from .schema_graph import (

@@ -219,10 +219,7 @@ def main(argv=None) -> int:
     except UnsupportedFragment as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FRAGMENT
-    except (ParseError, DtdError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except OSError as exc:
+    except (ParseError, DtdError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except Exception as exc:  # e.g. RecursionError on a very long query

@@ -88,26 +88,33 @@ class SibMap:
         ))
 
     def restrict(self, current: Key) -> "SibMap":
-        """Drop entries a fresh witness subtree could dodge.
-
-        An entry survives iff every key node past the longest common prefix
-        with the current path is dfs.  Prefixes of the current path (the
-        current path itself included) always survive: those nodes are pinned
-        by the evaluation position."""
-        kept = []
-        for e in self.entries:
-            lcp = 0
-            while lcp < min(len(e.key), len(current)) and e.key[lcp] == current[lcp]:
-                lcp += 1
-            if all(e.dfs[lcp:]):
-                kept.append(e)
-        return SibMap(tuple(kept))
+        """Drop entries a fresh witness subtree could dodge (see `surviving`)."""
+        return SibMap(tuple(surviving(self.entries, current)))
 
     def all_values_empty(self) -> bool:
         return all(not e.values for e in self.entries)
 
 
 _EMPTY = SibMap(())
+
+
+def surviving(entries: Iterable[SibEntry], current: Key) -> list[SibEntry]:
+    """The entries that stay binding once evaluation stands at `current`.
+
+    An entry survives iff every key node past the longest common prefix
+    with the current path is dfs.  Prefixes of the current path (the
+    current path itself included) always survive: those nodes are pinned
+    by the evaluation position."""
+    kept = []
+    for e in entries:
+        key = e.key
+        lcp = 0
+        n = min(len(key), len(current))
+        while lcp < n and key[lcp] == current[lcp]:
+            lcp += 1
+        if all(e.dfs[lcp:]):
+            kept.append(e)
+    return kept
 
 
 # --- rendering ---------------------------------------------------------------

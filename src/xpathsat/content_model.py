@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 from .errors import ParseError
 
@@ -535,60 +535,3 @@ def enumerate_words(e: Expr, max_len: int) -> list[Word]:
                     next_frontier.append((word + (a,), t))
         frontier = next_frontier
     return out
-
-
-def iter_words(e: Expr, max_len: int) -> Iterator[Word]:
-    yield from enumerate_words(e, max_len)
-
-
-# --- subsequence closure ---------------------------------------------------
-
-class _SubseqNfa:
-    """Automaton for the subsequence closure of L(e): every transition also
-    becomes a silent shortcut, so a word is accepted iff it is a subsequence
-    of some word of L(e)."""
-
-    def __init__(self, e: Expr):
-        self.nfa = Nfa(e)
-        # reachable[s]: states reachable from s by any number of skipped labels
-        reach: dict[int, frozenset[int]] = {}
-        for s in self.nfa.delta:
-            seen = {s}
-            stack = [s]
-            while stack:
-                cur = stack.pop()
-                for targets in self.nfa.delta[cur].values():
-                    for t in targets:
-                        if t not in seen:
-                            seen.add(t)
-                            stack.append(t)
-            reach[s] = frozenset(seen)
-        self.reach = reach
-
-    def closure(self, states: frozenset[int]) -> frozenset[int]:
-        out: set[int] = set()
-        for s in states:
-            out |= self.reach[s]
-        return frozenset(out)
-
-    def accepts(self, word: Word) -> bool:
-        states = self.closure(frozenset({0}))
-        for a in word:
-            states = self.closure(self.nfa.step(states, a))
-            if not states:
-                return False
-        return bool(states & self.nfa.accepting)
-
-
-def subsequence_matches(e: Expr, word: Word) -> bool:
-    """True iff word is a subsequence of some word of L(e)."""
-    return _SubseqNfa(e).accepts(word)
-
-
-def subsequence_preserves(e1: Expr, e2: Expr, max_len: int) -> bool:
-    """Mutual subsequence coverage up to max_len: every word of either
-    language (length-bounded) is a subsequence of a word of the other."""
-    s1, s2 = _SubseqNfa(e1), _SubseqNfa(e2)
-    return all(s2.accepts(w) for w in enumerate_words(e1, max_len)) and all(
-        s1.accepts(w) for w in enumerate_words(e2, max_len)
-    )

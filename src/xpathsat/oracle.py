@@ -23,7 +23,6 @@ from .content_model import (
 )
 from .dtd import Dtd
 from .errors import ParseError
-from .schema_graph import SchemaGraph, SgNode, build_schema_graph
 from .xpath import Axis, Path, QAnd, QOr, QPath, Qexpr, Qual, Seq, Step, Union
 
 Word = tuple[str, ...]
@@ -359,121 +358,4 @@ def oracle_satisfiable(d: Dtd, p: Path, depth: int, rep: int) -> DocTree | None:
     for t in iter_trees(d, depth, rep):
         if satisfies(t, p):
             return t
-    return None
-
-
-# --- schema-graph mappings of concrete trees ---------------------------------------
-
-def compute_sg_mappings(t: DocTree, d: Dtd) -> list[dict[NodePath, SgNode]]:
-    """All ways to assign each tree node its schema-graph place.
-
-    A children word splits between the parent's factor positions in order;
-    a "-" factor takes zero or one child carrying its label, a "*" factor
-    takes any run over its label set."""
-    graph = build_schema_graph(d)
-    by_place: dict[tuple[str, int, str], SgNode] = {
-        (u.parent_label, u.pos, u.label): u
-        for u in graph.nodes[1:]
-    }
-
-    def node_assignments(label: str, word: Word) -> list[tuple[int, ...]]:
-        factors = graph.factors[label]
-        out: list[tuple[int, ...]] = []
-
-        def go(i: int, fi: int, acc: tuple[int, ...]) -> None:
-            if i == len(word):
-                out.append(acc)
-                return
-            if fi == len(factors):
-                return
-            go(i, fi + 1, acc)  # this factor contributes nothing
-            f = factors[fi]
-            if f.omega == "-":
-                if word[i] == f.labels[0]:
-                    go(i + 1, fi + 1, acc + (f.pos,))
-            else:
-                j = i
-                labels = set(f.labels)
-                while j < len(word) and word[j] in labels:
-                    j += 1
-                    go(j, fi + 1, acc + (f.pos,) * (j - i))
-
-        go(0, 0, ())
-        return out
-
-    per_node: list[tuple[NodePath, list[dict[NodePath, SgNode]]]] = []
-
-    def visit(path: NodePath, v: DocTree) -> None:
-        word = tuple(c.label for c in v.children)
-        choices = []
-        for poss in node_assignments(v.label, word):
-            choices.append({
-                path + (i,): by_place[(v.label, pos, word[i])]
-                for i, pos in enumerate(poss)
-            })
-        per_node.append((path, choices))
-        for i, c in enumerate(v.children):
-            visit(path + (i,), c)
-
-    visit((), t)
-    mappings: list[dict[NodePath, SgNode]] = []
-    for combo in product(*[choices for _, choices in per_node]):
-        theta: dict[NodePath, SgNode] = {(): graph.sentinel}
-        for part in combo:
-            theta.update(part)
-        mappings.append(theta)
-    return mappings
-
-
-def beta_satisfied(t: DocTree, theta, b, d: Dtd) -> bool:
-    """Does the document t witness every requirement of the map b?
-
-    Each non-empty key must name some root-anchored label path whose end node
-    carries children with all demanded labels.  Demanded labels occur exactly
-    once in the end's content model, so which graph place theta picks never
-    changes the check; theta is accepted for interface parity."""
-    del theta
-
-    def paths_with_labels(key: tuple[str, ...]) -> list[NodePath]:
-        if not key or key[0] != t.label:
-            return []
-        cur = [()]
-        for lbl in key[1:]:
-            nxt: list[NodePath] = []
-            for path in cur:
-                node = node_at(t, path)
-                nxt.extend(
-                    path + (i,)
-                    for i, c in enumerate(node.children)
-                    if c.label == lbl
-                )
-            cur = nxt
-        return cur
-
-    for entry in b.entries:
-        if not entry.key:
-            continue
-        found = False
-        for path in paths_with_labels(entry.key):
-            node = node_at(t, path)
-            counts = cm.symbol_counts(d.model(node.label))
-            present = {
-                c.label for c in node.children if counts.get(c.label) == 1
-            }
-            if entry.values <= present:
-                found = True
-                break
-        if not found:
-            return False
-    return True
-
-
-def find_beta_witness(d: Dtd, b, depth: int, rep: int):
-    """Bounded search, smallest tree first, for (tree, mapping) witnessing
-    the map b; None if the bound is exhausted."""
-    for t in iter_trees(d, depth, rep):
-        if beta_satisfied(t, None, b, d):
-            mappings = compute_sg_mappings(t, d)
-            if mappings:
-                return t, mappings[0]
     return None

@@ -14,7 +14,12 @@ Two complete procedures, each polynomial on its fragment:
 
 Both report UNSAT exactly when every candidate run dies, either by running
 out of admissible places or by demanding children no single content-model
-word provides."""
+word provides.
+
+Known incompleteness: requirements are keyed by label path, so two siblings
+with one label share one entry and a satisfiable query can come back UNSAT.
+Under `r := r*(b|c)r*` (b and c empty), `↓::r/↓::b/↑::r/←⁺::r/↓::c` reads
+UNSAT although the document r(b,r(c),r(b)) matches it."""
 
 from __future__ import annotations
 
@@ -23,7 +28,7 @@ from typing import Optional
 
 from .constraints import (
     DfsBits, Key, SibEntry, SibMap, consistent, coverable, psi,
-    render_key, render_map,
+    render_key, render_map, surviving,
 )
 from .dtd import Dtd, delta_dtd, validate_no_useless
 from .errors import UnsupportedFragment
@@ -44,13 +49,14 @@ class Level:
 
 
 @dataclass(frozen=True)
-class Eval1Result:
+class Verdict:
     sat: bool
-    levels: Optional[tuple[Level, ...]]
-    beta: Optional[SibMap]
+    algorithm: str
+    final_state: Optional[str]  # eval1 renders it only on traced runs
     reason: Optional[str]
-    final_state: Optional[str]  # rendered only on traced runs
     trace: tuple[str, ...]
+    levels: Optional[tuple[Level, ...]] = None  # eval1, on SAT
+    beta: Optional[SibMap] = None               # eval1, on SAT
 
 
 def render_levels(levels: tuple[Level, ...]) -> str:
@@ -59,10 +65,6 @@ def render_levels(levels: tuple[Level, ...]) -> str:
 
 def render_state(levels: tuple[Level, ...], beta: SibMap) -> str:
     return f"({render_levels(levels)}, {render_map(beta)})"
-
-
-def _step_str(step: Step) -> str:
-    return f"{ARROW[step.axis]}::{step.label}"
 
 
 def _flatten_steps(p: Path) -> list[Step]:
@@ -82,26 +84,11 @@ def _admissible(u: SgNode, v: SgNode, axis: Axis) -> bool:
     return v.pos < u.pos if u.omega == "-" else v.pos <= u.pos
 
 
-def _as_map(bmap: dict[Key, tuple[frozenset[str], DfsBits]]) -> SibMap:
-    return SibMap(tuple(
-        SibEntry(key, vals, dbits) for key, (vals, dbits) in sorted(bmap.items())
-    ))
+def _as_map(bmap: dict[Key, SibEntry]) -> SibMap:
+    return SibMap(tuple(bmap[key] for key in sorted(bmap)))
 
 
-def _restrict_inplace(bmap: dict[Key, tuple[frozenset[str], DfsBits]], current: Key) -> None:
-    # same survival rule as SibMap.restrict, without rebuilding the map
-    drop = []
-    for key, (_, dbits) in bmap.items():
-        lcp = 0
-        while lcp < min(len(key), len(current)) and key[lcp] == current[lcp]:
-            lcp += 1
-        if not all(dbits[lcp:]):
-            drop.append(key)
-    for key in drop:
-        del bmap[key]
-
-
-def eval1(graph: SchemaGraph, p: Path, trace: bool = True) -> Eval1Result:
+def eval1(graph: SchemaGraph, p: Path, trace: bool = True) -> Verdict:
     """Walk the query over the schema graph, one step at a time.
 
     With trace=False no state strings are rendered at all (final_state comes
@@ -115,102 +102,69 @@ def eval1(graph: SchemaGraph, p: Path, trace: bool = True) -> Eval1Result:
     levels: tuple[Level, ...] = (Level(d.root, (graph.sentinel,), True),)
     path: Key = (d.root,)
     bits: DfsBits = (True,)
-    bmap: dict[Key, tuple[frozenset[str], DfsBits]] = {}
+    bmap: dict[Key, SibEntry] = {}
     lines: list[str] = []
     if trace:
         lines.append(f"start: {render_state(levels, _as_map(bmap))}")
 
-    def unsat(line: Optional[str], reason: str) -> Eval1Result:
+    def unsat(line: Optional[str], reason: str) -> Verdict:
         if trace:
             lines.append(line)
             lines.append("verdict: UNSAT")
-        return Eval1Result(False, None, None, reason, line, tuple(lines))
+        return Verdict(False, "eval1", line, reason, tuple(lines))
 
-    def record(key: Key, kbits: DfsBits, values: frozenset[str]) -> frozenset[str]:
-        stored = bmap.get(key)
-        if stored is None:
-            merged = values
-        else:
-            old_vals, old_bits = stored
-            assert old_bits == kbits, f"dfs mismatch on key {key}"
-            merged = old_vals | values
-        bmap[key] = (merged, kbits)
-        return merged
+    def nowhere(reason: str) -> Verdict:
+        # the step has no admissible place; this line is the final state
+        # on untraced runs too
+        return unsat(f"{s} → ∅ (no admissible place)", reason)
 
     for step in steps:
-        s = _step_str(step)
-        if step.axis is Axis.CHILD:
-            targets = graph.children_with_label(levels[-1].label, step.label)
-            if not targets:
-                return unsat(
-                    f"{s} → ∅ (no admissible place)",
-                    f"no place labeled {step.label!r} below {levels[-1].label!r}",
-                )
-            key, kbits = path, bits
-            merged = record(key, kbits, psi(targets[0]))
-            new_level = Level(
-                step.label, targets, len(targets) == 1 and targets[0].is_dfs
-            )
-            if merged and not coverable(d.covers[key[-1]], merged):
-                if trace:
-                    state = render_state(levels + (new_level,), _as_map(bmap))
-                    return unsat(
-                        f"{s} → {state} inconsistent",
-                        f"requirements {render_map(_as_map(bmap))} are not coverable",
-                    )
-                return unsat(None, f"requirements at {render_key(key)} are not coverable")
-            levels = levels + (new_level,)
-            path = key + (step.label,)
-            bits = kbits + (new_level.dfs,)
-        elif step.axis in (Axis.FSIB, Axis.PSIB):
+        s = f"{ARROW[step.axis]}::{step.label}"
+        if step.axis is Axis.PARENT:
             if len(levels) == 1:
-                return unsat(
-                    f"{s} → ∅ (no admissible place)",
-                    "the root has no siblings",
-                )
-            parent_label = levels[-2].label
-            targets = tuple(
-                v
-                for v in graph.children_with_label(parent_label, step.label)
-                if any(_admissible(u, v, step.axis) for u in levels[-1].nodes)
-            )
-            if not targets:
-                return unsat(
-                    f"{s} → ∅ (no admissible place)",
-                    f"no admissible sibling labeled {step.label!r}",
-                )
-            key, kbits = path[:-1], bits[:-1]
-            merged = record(key, kbits, psi(targets[0]))
-            new_level = Level(
-                step.label, targets, len(targets) == 1 and targets[0].is_dfs
-            )
-            if merged and not coverable(d.covers[key[-1]], merged):
-                if trace:
-                    state = render_state(levels[:-1] + (new_level,), _as_map(bmap))
-                    return unsat(
-                        f"{s} → {state} inconsistent",
-                        f"requirements {render_map(_as_map(bmap))} are not coverable",
-                    )
-                return unsat(None, f"requirements at {render_key(key)} are not coverable")
-            levels = levels[:-1] + (new_level,)
-            path = key + (step.label,)
-            bits = kbits + (new_level.dfs,)
-            _restrict_inplace(bmap, path)
-        elif step.axis is Axis.PARENT:
-            if len(levels) == 1:
-                return unsat(
-                    f"{s} → ∅ (no admissible place)",
-                    "no parent above the root",
-                )
+                return nowhere("no parent above the root")
             if levels[-2].label != step.label:
-                return unsat(
-                    f"{s} → ∅ (no admissible place)",
-                    f"parent is labeled {levels[-2].label!r}, not {step.label!r}",
+                return nowhere(f"parent is labeled {levels[-2].label!r}, not {step.label!r}")
+            levels, path, bits = levels[:-1], path[:-1], bits[:-1]
+            bmap = {e.key: e for e in surviving(bmap.values(), path)}
+        elif step.axis in (Axis.CHILD, Axis.FSIB, Axis.PSIB):
+            # a sideways step replaces the current node by a sibling, so it
+            # lands below the parent and demands its label there
+            sideways = step.axis is not Axis.CHILD
+            if sideways and len(levels) == 1:
+                return nowhere("the root has no siblings")
+            base = levels[:-1] if sideways else levels
+            targets = graph.children_with_label(base[-1].label, step.label)
+            if sideways:
+                targets = tuple(
+                    v for v in targets
+                    if any(_admissible(u, v, step.axis) for u in levels[-1].nodes)
                 )
-            levels = levels[:-1]
-            path = path[:-1]
-            bits = bits[:-1]
-            _restrict_inplace(bmap, path)
+            if not targets:
+                return nowhere(
+                    f"no admissible sibling labeled {step.label!r}" if sideways
+                    else f"no place labeled {step.label!r} below {levels[-1].label!r}"
+                )
+            key, kbits = (path[:-1], bits[:-1]) if sideways else (path, bits)
+            values = psi(targets[0])
+            stored = bmap.get(key)
+            if stored is not None:
+                assert stored.dfs == kbits, f"dfs mismatch on key {key}"
+                values = stored.values | values
+            bmap[key] = SibEntry(key, values, kbits)
+            new_level = Level(step.label, targets, len(targets) == 1 and targets[0].is_dfs)
+            levels = base + (new_level,)
+            if values and not coverable(d.covers[key[-1]], values):
+                if trace:
+                    beta = _as_map(bmap)
+                    return unsat(
+                        f"{s} → {render_state(levels, beta)} inconsistent",
+                        f"requirements {render_map(beta)} are not coverable",
+                    )
+                return unsat(None, f"requirements at {render_key(key)} are not coverable")
+            path, bits = key + (step.label,), kbits + (new_level.dfs,)
+            if sideways:
+                bmap = {e.key: e for e in surviving(bmap.values(), path)}
         else:
             raise UnsupportedFragment(f"axis {step.axis.value} is outside eval1")
         if trace:
@@ -219,9 +173,9 @@ def eval1(graph: SchemaGraph, p: Path, trace: bool = True) -> Eval1Result:
     beta = _as_map(bmap)
     if trace:
         lines.append("verdict: SAT")
-    return Eval1Result(
-        True, levels, beta, None,
-        render_state(levels, beta) if trace else None, tuple(lines),
+    return Verdict(
+        True, "eval1", render_state(levels, beta) if trace else None, None,
+        tuple(lines), levels, beta,
     )
 
 
@@ -248,15 +202,23 @@ class Eval2Tuple:
         )
 
 
+def _tuple_order(t: Eval2Tuple) -> tuple:
+    return (t.start.index, t.end.index, t.rel, render_map(t.pre), render_map(t.post))
+
+
 def render_tuple_set(tuples: tuple[Eval2Tuple, ...]) -> str:
+    """The tuples in a fixed order: by start and end place, then by the
+    rendered relative path and maps."""
     if not tuples:
         return "∅"
-    return "{" + ", ".join(t.render() for t in tuples) + "}"
+    return "{" + ", ".join(t.render() for t in sorted(tuples, key=_tuple_order)) + "}"
 
 
 def eval2(graph: SchemaGraph, p: Path, trace: Optional[list[str]] = None) -> tuple[Eval2Tuple, ...]:
     """Tuple set of a normalized query (child/sibling steps, stacked
-    qualifiers).  Appends one line per subexpression to `trace`."""
+    qualifiers), without duplicates and in no particular order.  Appends one
+    line per subexpression to `trace`, the set as `render_tuple_set` orders
+    it."""
     d = graph.dtd
     out: list[Eval2Tuple]
     match p:
@@ -314,10 +276,7 @@ def eval2(graph: SchemaGraph, p: Path, trace: Optional[list[str]] = None) -> tup
         case _:
             raise TypeError(f"not a path: {p!r}")
 
-    result = tuple(sorted(
-        set(out),
-        key=lambda t: (t.start.index, t.end.index, t.rel, render_map(t.pre), render_map(t.post)),
-    ))
+    result = tuple(set(out))
     if trace is not None:
         trace.append(
             f"eval2({render_xpath(p, arrows=True)}) = {render_tuple_set(result)}"
@@ -344,15 +303,6 @@ def _accepting(t: Eval2Tuple, graph: SchemaGraph) -> bool:
 
 # --- routing -----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Verdict:
-    sat: bool
-    algorithm: str
-    final_state: Optional[str]
-    reason: Optional[str]
-    trace: tuple[str, ...]
-
-
 def compile_dtd(d: Dtd) -> SchemaGraph:
     """The schema graph every query on d runs on: d checked for useless
     labels, normalized by `delta_dtd` and built into a graph.  It is kept on
@@ -374,21 +324,17 @@ def satisfiable(d: Dtd, query: Path | str) -> Verdict:
     p = normalize(p)
     frag = fragment_of(p)
     if frag == "eval1":
-        r = eval1(graph, p)
-        return Verdict(r.sat, "eval1", r.final_state, r.reason, r.trace)
+        return eval1(graph, p)
     if frag == "eval2":
         trace: list[str] = []
         tuples = eval2(graph, p, trace)
         winners = [t for t in tuples if _accepting(t, graph)]
         if winners:
             trace.append("verdict: SAT")
-            return Verdict(True, "eval2", winners[0].render(), None, tuple(trace))
+            first = min(winners, key=_tuple_order)
+            return Verdict(True, "eval2", first.render(), None, tuple(trace))
         trace.append("verdict: UNSAT")
-        reason = (
-            "no realizable run"
-            if not tuples
-            else "no run starts at the virtual root place"
-        )
+        reason = "no realizable run" if not tuples else "no run starts at the virtual root place"
         return Verdict(False, "eval2", None, reason, tuple(trace))
     raise UnsupportedFragment(
         "query needs recursive axes, union, or qualifier disjunction; "

@@ -1,0 +1,186 @@
+"""Reference machinery that only the tests use.
+
+* The subsequence closure of a content model, which checks that `delta`
+  keeps the realizable label subsequences of a model.
+* Schema-graph mappings of concrete trees and a bounded search for a tree
+  that witnesses a requirement map, which cross-check `consistent`.
+"""
+
+from __future__ import annotations
+
+from itertools import product
+
+from xpathsat.constraints import SibMap
+from xpathsat.content_model import Expr, Nfa, enumerate_words, symbol_counts
+from xpathsat.dtd import Dtd
+from xpathsat.oracle import DocTree, NodePath, Word, iter_trees, node_at
+from xpathsat.schema_graph import SgNode, build_schema_graph
+
+
+# --- subsequence closure ---------------------------------------------------
+
+class _SubseqNfa:
+    """Automaton for the subsequence closure of L(e): every transition also
+    becomes a silent shortcut, so a word is accepted iff it is a subsequence
+    of some word of L(e)."""
+
+    def __init__(self, e: Expr):
+        self.nfa = Nfa(e)
+        # reachable[s]: states reachable from s by any number of skipped labels
+        reach: dict[int, frozenset[int]] = {}
+        for s in self.nfa.delta:
+            seen = {s}
+            stack = [s]
+            while stack:
+                cur = stack.pop()
+                for targets in self.nfa.delta[cur].values():
+                    for t in targets:
+                        if t not in seen:
+                            seen.add(t)
+                            stack.append(t)
+            reach[s] = frozenset(seen)
+        self.reach = reach
+
+    def closure(self, states: frozenset[int]) -> frozenset[int]:
+        out: set[int] = set()
+        for s in states:
+            out |= self.reach[s]
+        return frozenset(out)
+
+    def accepts(self, word: Word) -> bool:
+        states = self.closure(frozenset({0}))
+        for a in word:
+            states = self.closure(self.nfa.step(states, a))
+            if not states:
+                return False
+        return bool(states & self.nfa.accepting)
+
+
+def subsequence_matches(e: Expr, word: Word) -> bool:
+    """True iff word is a subsequence of some word of L(e)."""
+    return _SubseqNfa(e).accepts(word)
+
+
+def subsequence_preserves(e1: Expr, e2: Expr, max_len: int) -> bool:
+    """Mutual subsequence coverage up to max_len: every word of either
+    language (length-bounded) is a subsequence of a word of the other."""
+    s1, s2 = _SubseqNfa(e1), _SubseqNfa(e2)
+    return all(s2.accepts(w) for w in enumerate_words(e1, max_len)) and all(
+        s1.accepts(w) for w in enumerate_words(e2, max_len)
+    )
+
+
+# --- schema-graph mappings of concrete trees ---------------------------------
+
+def compute_sg_mappings(t: DocTree, d: Dtd) -> list[dict[NodePath, SgNode]]:
+    """All ways to assign each tree node its schema-graph place.
+
+    A children word splits between the parent's factor positions in order;
+    a "-" factor takes zero or one child carrying its label, a "*" factor
+    takes any run over its label set."""
+    graph = build_schema_graph(d)
+    by_place: dict[tuple[str, int, str], SgNode] = {
+        (u.parent_label, u.pos, u.label): u
+        for u in graph.nodes[1:]
+    }
+
+    def node_assignments(label: str, word: Word) -> list[tuple[int, ...]]:
+        factors = graph.factors[label]
+        out: list[tuple[int, ...]] = []
+
+        def go(i: int, fi: int, acc: tuple[int, ...]) -> None:
+            if i == len(word):
+                out.append(acc)
+                return
+            if fi == len(factors):
+                return
+            go(i, fi + 1, acc)  # this factor contributes nothing
+            f = factors[fi]
+            if f.omega == "-":
+                if word[i] == f.labels[0]:
+                    go(i + 1, fi + 1, acc + (f.pos,))
+            else:
+                j = i
+                labels = set(f.labels)
+                while j < len(word) and word[j] in labels:
+                    j += 1
+                    go(j, fi + 1, acc + (f.pos,) * (j - i))
+
+        go(0, 0, ())
+        return out
+
+    per_node: list[tuple[NodePath, list[dict[NodePath, SgNode]]]] = []
+
+    def visit(path: NodePath, v: DocTree) -> None:
+        word = tuple(c.label for c in v.children)
+        choices = []
+        for poss in node_assignments(v.label, word):
+            choices.append({
+                path + (i,): by_place[(v.label, pos, word[i])]
+                for i, pos in enumerate(poss)
+            })
+        per_node.append((path, choices))
+        for i, c in enumerate(v.children):
+            visit(path + (i,), c)
+
+    visit((), t)
+    mappings: list[dict[NodePath, SgNode]] = []
+    for combo in product(*[choices for _, choices in per_node]):
+        theta: dict[NodePath, SgNode] = {(): graph.sentinel}
+        for part in combo:
+            theta.update(part)
+        mappings.append(theta)
+    return mappings
+
+
+def beta_satisfied(t: DocTree, b: SibMap, d: Dtd) -> bool:
+    """Does the document t witness every requirement of the map b?
+
+    Each non-empty key must name some root-anchored label path whose end node
+    carries children with all demanded labels.  Demanded labels occur exactly
+    once in the end's content model, so which graph place a mapping picks
+    never changes the check."""
+
+    def paths_with_labels(key: tuple[str, ...]) -> list[NodePath]:
+        if not key or key[0] != t.label:
+            return []
+        cur = [()]
+        for lbl in key[1:]:
+            nxt: list[NodePath] = []
+            for path in cur:
+                node = node_at(t, path)
+                nxt.extend(
+                    path + (i,)
+                    for i, c in enumerate(node.children)
+                    if c.label == lbl
+                )
+            cur = nxt
+        return cur
+
+    for entry in b.entries:
+        if not entry.key:
+            continue
+        found = False
+        for path in paths_with_labels(entry.key):
+            node = node_at(t, path)
+            counts = symbol_counts(d.model(node.label))
+            present = {
+                c.label for c in node.children if counts.get(c.label) == 1
+            }
+            if entry.values <= present:
+                found = True
+                break
+        if not found:
+            return False
+    return True
+
+
+def find_beta_witness(d: Dtd, b: SibMap, depth: int, rep: int):
+    """Bounded search, smallest tree first, for (tree, mapping) witnessing
+    the map b; None if the bound is exhausted."""
+    for t in iter_trees(d, depth, rep):
+        if beta_satisfied(t, b, d):
+            mappings = compute_sg_mappings(t, d)
+            if mappings:
+                return t, mappings[0]
+    return None

@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -375,3 +376,21 @@ def test_module_entry_point(worked_file):
         text=True,
     )
     assert (r.returncode, r.stdout) == (0, "SAT\n")
+
+
+# eval2 returns its tuple set unordered; the reported winner must still be
+# the same under every string-hash seed
+def test_eval2_final_state_ignores_hash_seed(worked_file):
+    outs = set()
+    for seed in "0123":
+        r = subprocess.run(
+            [sys.executable, "-m", "xpathsat.cli", "sat", "--json", "--dtd", worked_file,
+             "--xpath", "↓::r[↓::c]"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONHASHSEED": seed},
+        )
+        assert r.returncode == 0, r.stderr
+        outs.add(r.stdout)
+    assert len(outs) == 1
+    assert json.loads(outs.pop())["final_state"] == "((u0,β⊥),(u1,{r↦∅, rr↦{c}}),r)"

@@ -11,10 +11,11 @@ from hypothesis import given, strategies as st
 from xpathsat import (
     Concat, Disj, Epsilon, Hash, Opt, ParseError, Plus, Star, Symbol,
     enumerate_words, equivalence_counterexample, equivalent, expand_hash,
-    matches, parse_content_model, render, subsequence_matches,
-    subsequence_preserves,
+    matches, parse_content_model, render,
 )
 from xpathsat.content_model import concat_of, disj_of, symbol_counts, symbols
+
+from support import subsequence_matches, subsequence_preserves
 
 
 def _concat_match(items, w) -> bool:

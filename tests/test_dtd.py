@@ -9,12 +9,13 @@ from xpathsat import (
     Plus, Star, Symbol, classify_dtd, classify_model, delta, delta_dtd,
     equivalent, is_dc, is_dc_qph, is_df, is_mdf_dc, is_mrw, is_rw, load_dtd,
     parse_content_model, parse_dtd, parse_xml_dtd, render, render_dtd,
-    subsequence_preserves, validate_no_useless,
+    validate_no_useless,
 )
 from xpathsat import dtd as dtd_module
 from xpathsat.content_model import concat_of, disj_of, symbols
 
 from gens import random_content_model, random_mdf_dc_dtd, random_mrw_model
+from support import subsequence_preserves
 
 F3 = "(a|b)*(c(a|b)*(d(a|b)*)?|d(a|b)*c(a|b)*)"
 

@@ -12,12 +12,9 @@ from xpathsat import ParseError, oracle, parse_content_model, parse_dtd, parse_x
 from xpathsat.constraints import SibMap
 from xpathsat.oracle import (
     DocTree,
-    beta_satisfied,
-    compute_sg_mappings,
     conforms,
     enumerate_trees,
     eval_xpath_full,
-    find_beta_witness,
     iter_trees,
     min_heights,
     node_at,
@@ -29,6 +26,7 @@ from xpathsat.oracle import (
 )
 
 from gens import random_mdf_dc_dtd, tree_count
+from support import beta_satisfied, compute_sg_mappings, find_beta_witness
 
 WORKED = "root r\nr := r*(a*b|c)r*\na := eps\nb := a\nc := eps\n"
 WORKED_TREE = "r(r(c),a,a,b(a))"
@@ -388,22 +386,22 @@ def test_beta_satisfied_worked_examples():
             (("r", "b"), {"a"}, (True, True)),
         ]
     )
-    assert beta_satisfied(t, None, good, d)
-    assert not beta_satisfied(t, None, SibMap.of([(("r",), {"a", "b", "c"}, (True,))]), d)
-    assert beta_satisfied(t, None, SibMap.empty(), d)
+    assert beta_satisfied(t, good, d)
+    assert not beta_satisfied(t, SibMap.of([(("r",), {"a", "b", "c"}, (True,))]), d)
+    assert beta_satisfied(t, SibMap.empty(), d)
 
 
 def test_beta_satisfied_missing_path():
     # a demanded key with no matching node fails even with empty values
     d = worked()
     t = parse_tree(WORKED_TREE)
-    assert not beta_satisfied(t, None, SibMap.of([(("r", "c"), set(), (True, True))]), d)
+    assert not beta_satisfied(t, SibMap.of([(("r", "c"), set(), (True, True))]), d)
 
 
 def test_beta_satisfied_relative_keys_are_skipped():
     d = worked()
     t = parse_tree(WORKED_TREE)
-    assert beta_satisfied(t, None, SibMap.of([((), {"q"}, ())]), d)
+    assert beta_satisfied(t, SibMap.of([((), {"q"}, ())]), d)
 
 
 def test_find_beta_witness():
@@ -414,6 +412,6 @@ def test_find_beta_witness():
     t, theta = w
     assert render_tree(t) == "r(b(a))"
     assert theta[()].name == "u0"
-    assert beta_satisfied(t, theta, ok, d)
+    assert beta_satisfied(t, ok, d)
     bad = SibMap.of([(("r",), {"b", "c"}, (True,))])
     assert find_beta_witness(d, bad, depth=3, rep=2) is None

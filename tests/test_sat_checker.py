@@ -21,7 +21,7 @@ from xpathsat import (
 from xpathsat.constraints import SibMap, consistent, render_map
 from xpathsat.content_model import Star, Symbol, disj_of
 from xpathsat import sat_checker
-from xpathsat.oracle import oracle_satisfiable
+from xpathsat.oracle import oracle_satisfiable, render_tree
 from xpathsat.sat_checker import Eval2Tuple, compile_dtd, eval1, eval2, render_tuple_set
 from xpathsat.xpath import Qual, Seq, normalize
 
@@ -121,11 +121,43 @@ def test_eval1_root_has_no_siblings():
 def test_eval1_child_label_missing():
     r = eval1(worked_graph(), parse_xpath("↓::q"))
     assert not r.sat
+    assert r.reason == "no place labeled 'q' below 'r'"
 
 
 def test_eval1_wrong_parent_label():
     r = eval1(worked_graph(), parse_xpath("↓::r/↓::b/↑::c"))
     assert not r.sat
+    assert r.reason == "parent is labeled 'r', not 'c'"
+
+
+# every UNSAT exit of eval1: (query, traced reason, untraced reason, last
+# state line of the trace)
+EVAL1_EXITS = [
+    ("↓::q", "no place labeled 'q' below 'r'", None,
+     "↓::q → ∅ (no admissible place)"),
+    ("↓::r/↓::b/↑::c", "parent is labeled 'r', not 'c'", None,
+     "↑::c → ∅ (no admissible place)"),
+    ("↓::r/↓::c/←⁺::c", "no admissible sibling labeled 'c'", None,
+     "←⁺::c → ∅ (no admissible place)"),
+    ("↓::r/↓::b/↑::r/↓::c", "requirements {r↦∅, rr↦{b,c}} are not coverable",
+     "requirements at rr are not coverable",
+     "↓::c → ({u0}{u1,u5}{u4}, {r↦∅, rr↦{b,c}}) inconsistent"),
+    ("↓::r/↓::b/→⁺::c", "requirements {r↦∅, rr↦{b,c}} are not coverable",
+     "requirements at rr are not coverable",
+     "→⁺::c → ({u0}{u1,u5}{u4}, {r↦∅, rr↦{b,c}}) inconsistent"),
+]
+
+
+@pytest.mark.parametrize("q,reason,untraced_reason,last", EVAL1_EXITS)
+def test_eval1_unsat_exits(q, reason, untraced_reason, last):
+    g = worked_graph()
+    traced = eval1(g, parse_xpath(q))
+    untraced = eval1(g, parse_xpath(q), trace=False)
+    assert not traced.sat and not untraced.sat
+    assert traced.reason == reason
+    assert untraced.reason == (untraced_reason or reason)
+    assert traced.trace[-2:] == (last, "verdict: UNSAT")
+    assert traced.final_state == last
 
 
 # sibling admissibility is position arithmetic over the factor list
@@ -357,6 +389,25 @@ def test_satisfiable_normalizes_mrw_dtd_first():
     d = parse_dtd("root r\nr := (a|b)*ca+\na := eps\nb := eps\nc := eps\n")
     assert satisfiable(d, "↓::c/→⁺::a").sat
     assert not satisfiable(d, "↓::a/↓::q").sat
+
+
+# ------------------------------------------------------ known incompleteness
+
+# Requirements are keyed by label path, so the two r children below the root
+# share one entry: the b demanded below the first r still binds after the
+# walk moves to a preceding r sibling, and a satisfiable query reads UNSAT.
+SHARED_KEY_DTD = "root r\nr := r*(b|c)r*\nb := eps\nc := eps\n"
+SHARED_KEY_QUERY = "↓::r/↓::b/↑::r/←⁺::r/↓::c"
+
+
+def test_shared_key_query_has_an_oracle_witness():
+    t = oracle_satisfiable(parse_dtd(SHARED_KEY_DTD), parse_xpath(SHARED_KEY_QUERY), 3, 2)
+    assert t is not None and render_tree(t) == "r(b,r(c),r(b))"
+
+
+@pytest.mark.xfail(strict=True, reason="requirements keyed by label path merge same-label siblings")
+def test_shared_key_query_is_sat():
+    assert satisfiable(parse_dtd(SHARED_KEY_DTD), SHARED_KEY_QUERY).sat
 
 
 # -------------------------------------------------------------- differential
