@@ -7,7 +7,7 @@ and ships a bounded exhaustive oracle to cross-check every answer.
 
 from .content_model import (
     Concat, Disj, Epsilon, Expr, Hash, Opt, Plus, Star, Symbol,
-    enumerate_words, equivalence_counterexample, equivalent, expand_hash,
+    equivalence_counterexample, equivalent, expand_hash,
     matches, parse_content_model, render,
 )
 from .constraints import (

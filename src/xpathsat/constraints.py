@@ -77,9 +77,6 @@ class SibMap:
             + [(e.key, e.values, e.dfs) for e in other.entries]
         )
 
-    def with_entry(self, key: Key, dfs: DfsBits, values: Iterable[str]) -> "SibMap":
-        return self.join(SibMap((SibEntry(key, frozenset(values), dfs),)))
-
     def shift(self, prefix: Key, prefix_dfs: DfsBits) -> "SibMap":
         """Prepend a path: reinterpret relative keys one level further out."""
         return SibMap(tuple(

@@ -298,7 +298,10 @@ def parse_content_model(text: str, alphabet: Optional[frozenset[str]] = None) ->
     if not toks:
         raise ParseError("empty content model")
     p = _Parser(toks, alphabet)
-    e = p.parse_expr()
+    try:
+        e = p.parse_expr()
+    except RecursionError:
+        raise ParseError("content model nested too deeply") from None
     if p.peek() is not None:
         raise ParseError(f"trailing input from token {p.peek()!r}")
     return e
@@ -516,22 +519,3 @@ def equivalence_counterexample(e1: Expr, e2: Expr) -> Optional[Word]:
 
 def equivalent(e1: Expr, e2: Expr) -> bool:
     return equivalence_counterexample(e1, e2) is None
-
-
-def enumerate_words(e: Expr, max_len: int) -> list[Word]:
-    """Exactly the words of L(e) of length <= max_len, sorted by (length, word)."""
-    nfa = Nfa(e)
-    alphabet = sorted(nfa.alphabet)
-    out: list[Word] = []
-    frontier: list[tuple[Word, frozenset[int]]] = [((), frozenset({0}))]
-    for _ in range(max_len + 1):
-        next_frontier: list[tuple[Word, frozenset[int]]] = []
-        for word, states in frontier:
-            if states & nfa.accepting:
-                out.append(word)
-            for a in alphabet:
-                t = nfa.step(states, a)
-                if t:
-                    next_frontier.append((word + (a,), t))
-        frontier = next_frontier
-    return out

@@ -116,11 +116,14 @@ def eval_xpath_full(t: DocTree, p: Path, start: NodePath = ()) -> set[NodePath]:
     match p:
         case Step(axis, label):
             return _step(t, axis, label, start)
-        case Seq(left, right):
-            out: set[NodePath] = set()
-            for mid in eval_xpath_full(t, left, start):
-                out |= eval_xpath_full(t, right, mid)
-            return out
+        case Seq(steps):
+            nodes = {start}
+            for x in steps:
+                after: set[NodePath] = set()
+                for mid in nodes:
+                    after |= eval_xpath_full(t, x, mid)
+                nodes = after
+            return nodes
         case Union(left, right):
             return eval_xpath_full(t, left, start) | eval_xpath_full(t, right, start)
         case Qual(base, qual):

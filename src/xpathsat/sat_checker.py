@@ -67,15 +67,6 @@ def render_state(levels: tuple[Level, ...], beta: SibMap) -> str:
     return f"({render_levels(levels)}, {render_map(beta)})"
 
 
-def _flatten_steps(p: Path) -> list[Step]:
-    match p:
-        case Step(_, _):
-            return [p]
-        case Seq(left, right):
-            return _flatten_steps(left) + _flatten_steps(right)
-    raise UnsupportedFragment(f"not a plain step sequence: {render_xpath(p)}")
-
-
 def _admissible(u: SgNode, v: SgNode, axis: Axis) -> bool:
     """Can v hold a sibling of a node at u, after (fsib) or before (psib) it?
     A starred place can recur, so its own position stays admissible."""
@@ -98,7 +89,10 @@ def eval1(graph: SchemaGraph, p: Path, trace: bool = True) -> Verdict:
     and a child step never unpins anything (the current path only extends),
     so the restriction pass runs only on upward and sideways moves."""
     d = graph.dtd
-    steps = _flatten_steps(p)
+    steps = p.steps if isinstance(p, Seq) else (p,)
+    for step in steps:
+        if not isinstance(step, Step):
+            raise UnsupportedFragment(f"not a plain step sequence: {render_xpath(step)}")
     levels: tuple[Level, ...] = (Level(d.root, (graph.sentinel,), True),)
     path: Key = (d.root,)
     bits: DfsBits = (True,)
@@ -111,11 +105,9 @@ def eval1(graph: SchemaGraph, p: Path, trace: bool = True) -> Verdict:
         if trace:
             lines.append(line)
             lines.append("verdict: UNSAT")
-        return Verdict(False, "eval1", line, reason, tuple(lines))
+        return Verdict(False, "eval1", line if trace else None, reason, tuple(lines))
 
     def nowhere(reason: str) -> Verdict:
-        # the step has no admissible place; this line is the final state
-        # on untraced runs too
         return unsat(f"{s} → ∅ (no admissible place)", reason)
 
     for step in steps:
@@ -196,14 +188,16 @@ class Eval2Tuple:
     rel_dfs: tuple[bool, ...]
 
     def render(self) -> str:
-        return (
-            f"(({self.start.name},{render_map(self.pre)}),"
-            f"({self.end.name},{render_map(self.post)}),{render_key(self.rel)})"
-        )
+        return _row(self)[1]
 
 
-def _tuple_order(t: Eval2Tuple) -> tuple:
-    return (t.start.index, t.end.index, t.rel, render_map(t.pre), render_map(t.post))
+def _row(t: Eval2Tuple) -> tuple[tuple, str]:
+    """The tuple's sort key and its text, each map rendered once."""
+    pre, post = render_map(t.pre), render_map(t.post)
+    return (
+        (t.start.index, t.end.index, t.rel, pre, post),
+        f"(({t.start.name},{pre}),({t.end.name},{post}),{render_key(t.rel)})",
+    )
 
 
 def render_tuple_set(tuples: tuple[Eval2Tuple, ...]) -> str:
@@ -211,14 +205,14 @@ def render_tuple_set(tuples: tuple[Eval2Tuple, ...]) -> str:
     rendered relative path and maps."""
     if not tuples:
         return "∅"
-    return "{" + ", ".join(t.render() for t in sorted(tuples, key=_tuple_order)) + "}"
+    return "{" + ", ".join(text for _, text in sorted(map(_row, tuples))) + "}"
 
 
 def eval2(graph: SchemaGraph, p: Path, trace: Optional[list[str]] = None) -> tuple[Eval2Tuple, ...]:
     """Tuple set of a normalized query (child/sibling steps, stacked
     qualifiers), without duplicates and in no particular order.  Appends one
-    line per subexpression to `trace`, the set as `render_tuple_set` orders
-    it."""
+    line per subexpression and per proper prefix of a sequence to `trace`,
+    the set as `render_tuple_set` orders it."""
     d = graph.dtd
     out: list[Eval2Tuple]
     match p:
@@ -251,14 +245,17 @@ def eval2(graph: SchemaGraph, p: Path, trace: Optional[list[str]] = None) -> tup
                             ))
         case Step(axis, _):
             raise UnsupportedFragment(f"axis {axis.value} is outside eval2")
-        case Seq(left, right):
-            t1s = eval2(graph, left, trace)
-            t2s = eval2(graph, right, trace)
-            out = [
-                Eval2Tuple(t1.start, t1.pre, t2.end, post,
-                           t1.rel + t2.rel, t1.rel_dfs + t2.rel_dfs)
-                for t1, t2, post in _joined(t1s, t2s, d)
-            ]
+        case Seq(steps):
+            # a left fold that settles and traces each proper prefix
+            t1s = eval2(graph, steps[0], trace)
+            for i in range(1, len(steps)):
+                out = [
+                    Eval2Tuple(t1.start, t1.pre, t2.end, post,
+                               t1.rel + t2.rel, t1.rel_dfs + t2.rel_dfs)
+                    for t1, t2, post in _joined(t1s, eval2(graph, steps[i], trace), d)
+                ]
+                if i < len(steps) - 1:
+                    t1s = _settled(out, Seq(steps[:i + 1]), trace)
         case Qual(base, QPath(qpath)):
             t1s = eval2(graph, base, trace)
             t2s = eval2(graph, qpath, trace)
@@ -275,7 +272,11 @@ def eval2(graph: SchemaGraph, p: Path, trace: Optional[list[str]] = None) -> tup
             raise UnsupportedFragment("union is outside eval2")
         case _:
             raise TypeError(f"not a path: {p!r}")
+    return _settled(out, p, trace)
 
+
+def _settled(out: list[Eval2Tuple], p: Path, trace: Optional[list[str]]) -> tuple[Eval2Tuple, ...]:
+    """p's tuple set without duplicates, traced as one line."""
     result = tuple(set(out))
     if trace is not None:
         trace.append(
@@ -331,8 +332,8 @@ def satisfiable(d: Dtd, query: Path | str) -> Verdict:
         winners = [t for t in tuples if _accepting(t, graph)]
         if winners:
             trace.append("verdict: SAT")
-            first = min(winners, key=_tuple_order)
-            return Verdict(True, "eval2", first.render(), None, tuple(trace))
+            _, first = min(map(_row, winners))
+            return Verdict(True, "eval2", first, None, tuple(trace))
         trace.append("verdict: UNSAT")
         reason = "no realizable run" if not tuples else "no run starts at the virtual root place"
         return Verdict(False, "eval2", None, reason, tuple(trace))

@@ -10,6 +10,10 @@ Arrows are aliases: ↓ child, ↑ parent, ↓* desc-or-self, ↑* anc-or-self,
 →⁺ (or →+) fsib, ←⁺ (or ←+) psib.  Qualifier conjunctions can be split into
 stacked qualifiers by `normalize`, which preserves meaning and is what the
 tuple-based evaluation expects.
+
+`/` is associative, so a sequence is one flat `Seq` of its parts, looped
+over rather than recursed into: `(↓::a/↓::b)/↓::c` parses to the node of
+`↓::a/↓::b/↓::c` and prints flat.  Nesting too deep to parse is a ParseError.
 """
 
 from __future__ import annotations
@@ -58,8 +62,7 @@ class Step:
 
 @dataclass(frozen=True, slots=True)
 class Seq:
-    left: "Path"
-    right: "Path"
+    steps: tuple["Path", ...]  # always >= 2 items, none Seq
 
 
 @dataclass(frozen=True, slots=True)
@@ -163,11 +166,14 @@ class _Parser:
         return p
 
     def parse_path(self) -> Path:
-        p = self.parse_step()
-        while self.peek() == "/":
+        parts: list[Path] = []
+        while True:
+            p = self.parse_step()
+            # a parenthesized sequence splices in: `/` is associative
+            parts.extend(p.steps if isinstance(p, Seq) else (p,))
+            if self.peek() != "/":
+                return Seq(tuple(parts)) if len(parts) > 1 else parts[0]
             self.take()
-            p = Seq(p, self.parse_step())
-        return p
 
     def parse_step(self) -> Path:
         tok = self.peek()
@@ -208,7 +214,10 @@ def parse_xpath(text: str) -> Path:
     if not toks:
         raise ParseError("empty query")
     p = _Parser(toks)
-    out = p.parse_pathexpr()
+    try:
+        out = p.parse_pathexpr()
+    except RecursionError:
+        raise ParseError("query nested too deeply") from None
     if p.peek() is not None:
         raise ParseError(f"trailing input from token {p.peek()!r}")
     return out
@@ -230,8 +239,8 @@ def _render(p: Path, prec: int, arrows: bool) -> str:
         case Step(axis, label):
             name = ARROW[axis] if arrows else axis.value
             return f"{name}::{label}"
-        case Seq(left, right):
-            s = f"{_render(left, _PREC_SEQ, arrows)}/{_render(right, _PREC_STEP, arrows)}"
+        case Seq(steps):
+            s = "/".join(_render(x, _PREC_STEP, arrows) for x in steps)
             return f"({s})" if prec > _PREC_SEQ else s
         case Union(left, right):
             s = f"{_render(left, _PREC_UNION, arrows)}|u|{_render(right, _PREC_SEQ, arrows)}"
@@ -259,7 +268,9 @@ def size(p: Path | Qexpr) -> int:
     match p:
         case Step(_, _):
             return 1
-        case Seq(left, right) | Union(left, right) | QAnd(left, right) | QOr(left, right):
+        case Seq(steps):
+            return sum(size(x) for x in steps)
+        case Union(left, right) | QAnd(left, right) | QOr(left, right):
             return size(left) + size(right)
         case Qual(base, qual):
             return size(base) + size(qual)
@@ -272,9 +283,9 @@ def _collect(p: Path | Qexpr, axes: set[Axis], flags: dict[str, bool]) -> None:
     match p:
         case Step(axis, _):
             axes.add(axis)
-        case Seq(left, right):
-            _collect(left, axes, flags)
-            _collect(right, axes, flags)
+        case Seq(steps):
+            for x in steps:
+                _collect(x, axes, flags)
         case Union(left, right):
             flags["union"] = True
             _collect(left, axes, flags)
@@ -318,8 +329,8 @@ def normalize(p: Path) -> Path:
     match p:
         case Step(_, _):
             return p
-        case Seq(left, right):
-            return Seq(normalize(left), normalize(right))
+        case Seq(steps):
+            return Seq(tuple(normalize(x) for x in steps))
         case Union(left, right):
             return Union(normalize(left), normalize(right))
         case Qual(base, qual):

@@ -6,8 +6,6 @@ only emit instances inside the class they promise (asserted at the end),
 so tests can lean on that without re-checking.
 """
 
-from functools import reduce
-
 from xpathsat import (
     Concat, Disj, Dtd, Epsilon, Expr, Hash, Opt, Plus, Star, Symbol,
     classify_dtd, is_mrw, validate_no_useless, words_capped,
@@ -174,7 +172,7 @@ def tree_count(d: Dtd, rep: int) -> int:
 # --- queries ------------------------------------------------------------------
 
 def _seq(steps: list[Step]) -> Path:
-    return reduce(Seq, steps)
+    return Seq(tuple(steps)) if len(steps) > 1 else steps[0]
 
 
 def _pick_label(rng, labels, stray="z") -> str:

@@ -1,5 +1,7 @@
 """Reference machinery that only the tests use.
 
+* The words of a content model up to a length, and a requirement map with
+  one more entry.
 * The subsequence closure of a content model, which checks that `delta`
   keeps the realizable label subsequences of a model.
 * Schema-graph mappings of concrete trees and a bounded search for a tree
@@ -8,13 +10,40 @@
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from itertools import product
 
-from xpathsat.constraints import SibMap
-from xpathsat.content_model import Expr, Nfa, enumerate_words, symbol_counts
+from xpathsat.constraints import DfsBits, Key, SibEntry, SibMap
+from xpathsat.content_model import Expr, Nfa, symbol_counts
 from xpathsat.dtd import Dtd
 from xpathsat.oracle import DocTree, NodePath, Word, iter_trees, node_at
 from xpathsat.schema_graph import SgNode, build_schema_graph
+
+
+# --- words and maps --------------------------------------------------------
+
+def enumerate_words(e: Expr, max_len: int) -> list[Word]:
+    """Exactly the words of L(e) of length <= max_len, sorted by (length, word)."""
+    nfa = Nfa(e)
+    alphabet = sorted(nfa.alphabet)
+    out: list[Word] = []
+    frontier: list[tuple[Word, frozenset[int]]] = [((), frozenset({0}))]
+    for _ in range(max_len + 1):
+        next_frontier: list[tuple[Word, frozenset[int]]] = []
+        for word, states in frontier:
+            if states & nfa.accepting:
+                out.append(word)
+            for a in alphabet:
+                t = nfa.step(states, a)
+                if t:
+                    next_frontier.append((word + (a,), t))
+        frontier = next_frontier
+    return out
+
+
+def with_entry(m: SibMap, key: Key, dfs: DfsBits, values: Iterable[str]) -> SibMap:
+    """m joined with one more entry."""
+    return m.join(SibMap((SibEntry(key, frozenset(values), dfs),)))
 
 
 # --- subsequence closure ---------------------------------------------------

@@ -14,7 +14,6 @@ import io
 import pathlib
 import random
 import time
-from functools import reduce
 from itertools import combinations
 
 from xpathsat import (
@@ -42,12 +41,12 @@ from xpathsat import (
 )
 from xpathsat.cli import main as cli_main
 from xpathsat.content_model import (
-    Concat, Disj, Hash, Opt, Plus, enumerate_words, symbol_counts,
+    Concat, Disj, Hash, Opt, Plus, symbol_counts,
 )
 from xpathsat.xpath import Axis, Seq, Step
 
 import gens
-from support import beta_satisfied, find_beta_witness
+from support import beta_satisfied, enumerate_words, find_beta_witness, with_entry
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -340,8 +339,8 @@ def test_criterion_08_consistency_witness_agreement():
                     once = [lbl for lbl, n in
                             symbol_counts(d.model(e.key[-1])).items() if n == 1]
                     if once:
-                        b = b.with_entry(
-                            e.key, e.dfs, e.values | {rng.choice(once)})
+                        b = with_entry(
+                            b, e.key, e.dfs, e.values | {rng.choice(once)})
                 want = consistent(b, d)
                 rep = max(2, max(
                     (len(e.values) for e in b.entries), default=0) + 2)
@@ -407,10 +406,8 @@ def _chain_setting():
     g = build_schema_graph(Dtd(labels[0], rules))
 
     def chain(k: int):
-        return reduce(
-            Seq,
-            [Step(Axis.CHILD, labels[(i + 1) % CHAIN_LEN]) for i in range(k)],
-        )
+        steps = tuple(Step(Axis.CHILD, labels[(i + 1) % CHAIN_LEN]) for i in range(k))
+        return Seq(steps) if k > 1 else steps[0]
 
     return g, chain
 

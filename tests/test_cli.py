@@ -7,6 +7,7 @@ import io
 import json
 import os
 import pathlib
+import shlex
 import subprocess
 import sys
 
@@ -25,6 +26,7 @@ SAT_Q = "(↓::r/→⁺::b)/(↓::a/↑::b)"
 UNSAT_Q = "(↓::r/→⁺::b)/(↓::a/↑::b)/→⁺::c"
 
 DATA = pathlib.Path(__file__).parent / "data"
+README = pathlib.Path(__file__).parent.parent / "README.md"
 
 
 def run(argv):
@@ -169,14 +171,26 @@ def test_sat_query_parse_error(worked_file):
     assert err == "error: unexpected end of query\n"
 
 
-def test_sat_internal_error_exits_5(worked_file):
-    # deep enough to exhaust the interpreter's recursion limit; an internal
-    # error must never read as exit 1 (UNSAT)
-    q = "/".join(["↓::r"] * 1000)
-    code, out, err = run(["sat", "--dtd", worked_file, "--xpath", q])
+def test_sat_internal_error_exits_5(worked_file, monkeypatch):
+    # a fault of the program must never read as exit 1 (UNSAT), and its
+    # message stays on one line
+    def broken(d, q):
+        raise RuntimeError("first line\nsecond line")
+
+    monkeypatch.setattr("xpathsat.cli.satisfiable", broken)
+    code, out, err = run(["sat", "--dtd", worked_file, "--xpath", "↓::r"])
     assert (code, out) == (5, "")
-    assert err.startswith("error: internal error: RecursionError")
-    assert err.count("\n") == 1
+    assert err == "error: internal error: RuntimeError: first line second line\n"
+
+
+def test_nesting_too_deep_to_parse_exits_2(worked_file, tmp_path):
+    q = "(" * 2000 + "↓::r" + ")" * 2000
+    code, out, err = run(["sat", "--dtd", worked_file, "--xpath", q])
+    assert (code, out, err) == (2, "", "error: query nested too deeply\n")
+    deep = tmp_path / "deep.dtd"
+    deep.write_text("root r\nr := " + "(" * 2000 + "a" + ")" * 2000 + "\na := eps\n")
+    code, out, err = run(["sat", "--dtd", str(deep), "--xpath", "↓::a"])
+    assert (code, out, err) == (2, "", "error: content model nested too deeply\n")
 
 
 def test_sat_missing_dtd_file(tmp_path):
@@ -394,3 +408,33 @@ def test_eval2_final_state_ignores_hash_seed(worked_file):
         outs.add(r.stdout)
     assert len(outs) == 1
     assert json.loads(outs.pop())["final_state"] == "((u0,β⊥),(u1,{r↦∅, rr↦{c}}),r)"
+
+
+# ------------------------------------------------------------------- README
+
+
+def test_readme_examples_print_what_they_show(tmp_path):
+    text = README.read_text(encoding="utf-8")
+    dtd_block = text.split("`doc.dtd`:\n\n```\n", 1)[1].split("```", 1)[0]
+    dtd = tmp_path / "doc.dtd"
+    dtd.write_text(dtd_block)
+    examples: list[tuple[str, list[str]]] = []
+    for line in text.splitlines():
+        if line.startswith("```"):
+            examples.append(("", []))  # a block boundary ends the output
+        elif line.startswith("$ xpathsat "):
+            examples.append((line, []))
+        elif examples and examples[-1][0]:
+            examples[-1][1].append(line)
+    examples = [(cmd, shown) for cmd, shown in examples if cmd]
+    assert len(examples) == 4
+    for cmd, shown in examples:
+        argv = [str(dtd) if a == "doc.dtd" else a for a in shlex.split(cmd)[2:]]
+        _, out, _ = run(argv)
+        assert out.splitlines() == shown, cmd
+
+    snippet = text.split("## Library\n\n```python\n", 1)[1].split("```", 1)[0]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(snippet, {})
+    assert out.getvalue() == "True eval2\n"

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from xpathsat import build_schema_graph, delta_dtd, parse_content_model, parse_dtd
-from xpathsat.content_model import enumerate_words, symbol_counts
+from xpathsat.content_model import symbol_counts
 from xpathsat.constraints import (
     SibMap,
     consistent,
@@ -20,6 +20,7 @@ from xpathsat.constraints import (
 )
 
 from gens import random_mdf_dc_dtd, random_sibmap
+from support import enumerate_words
 
 WORKED = "root r\nr := r*(a*b|c)r*\na := eps\nb := a\nc := eps\n"
 

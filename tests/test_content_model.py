@@ -10,12 +10,12 @@ from hypothesis import given, strategies as st
 
 from xpathsat import (
     Concat, Disj, Epsilon, Hash, Opt, ParseError, Plus, Star, Symbol,
-    enumerate_words, equivalence_counterexample, equivalent, expand_hash,
+    equivalence_counterexample, equivalent, expand_hash,
     matches, parse_content_model, render,
 )
 from xpathsat.content_model import concat_of, disj_of, symbol_counts, symbols
 
-from support import subsequence_matches, subsequence_preserves
+from support import enumerate_words, subsequence_matches, subsequence_preserves
 
 
 def _concat_match(items, w) -> bool:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 
 import pytest
 
@@ -16,12 +17,14 @@ from xpathsat import (
     fragment_of,
     parse_dtd,
     parse_xpath,
+    render_xpath,
     satisfiable,
+    size,
 )
 from xpathsat.constraints import SibMap, consistent, render_map
 from xpathsat.content_model import Star, Symbol, disj_of
 from xpathsat import sat_checker
-from xpathsat.oracle import oracle_satisfiable, render_tree
+from xpathsat.oracle import oracle_satisfiable, parse_tree, render_tree, satisfies
 from xpathsat.sat_checker import Eval2Tuple, compile_dtd, eval1, eval2, render_tuple_set
 from xpathsat.xpath import Qual, Seq, normalize
 
@@ -158,6 +161,7 @@ def test_eval1_unsat_exits(q, reason, untraced_reason, last):
     assert untraced.reason == (untraced_reason or reason)
     assert traced.trace[-2:] == (last, "verdict: UNSAT")
     assert traced.final_state == last
+    assert untraced.final_state is None
 
 
 # sibling admissibility is position arithmetic over the factor list
@@ -195,25 +199,8 @@ def test_eval1_remembers_current_branch_demands():
 
 def _prefixes(p):
     """Step sequences of every length, as paths."""
-    from xpathsat.xpath import Seq
-
-    steps = []
-
-    def walk(node):
-        if isinstance(node, Seq):
-            walk(node.left)
-            walk(node.right)
-        else:
-            steps.append(node)
-
-    walk(p)
-    out = []
-    for i in range(1, len(steps) + 1):
-        q = steps[0]
-        for s in steps[1:i]:
-            q = Seq(q, s)
-        out.append(q)
-    return out
+    steps = p.steps if isinstance(p, Seq) else (p,)
+    return [Seq(steps[:i]) if i > 1 else steps[0] for i in range(1, len(steps) + 1)]
 
 
 def test_eval1_invariants_on_random_runs():
@@ -294,6 +281,50 @@ def test_eval2_trace_lines():
         f"eval2(→⁺::b[↓::a]) = {EVAL2_RENDERS['→⁺::b[↓::a]']}",
         f"eval2(↓::r/→⁺::b[↓::a]) = {EVAL2_RENDERS['↓::r/→⁺::b[↓::a]']}",
     ]
+
+
+def test_eval2_trace_lists_every_proper_prefix():
+    # the lines of a walk down the left spine of ((↓::r/→⁺::b[↓::a])/→⁺::c)
+    tr = []
+    eval2(worked_graph(), parse_xpath("↓::r/→⁺::b[↓::a]/→⁺::c"), trace=tr)
+    assert tr == [
+        f"eval2(↓::r) = {EVAL2_RENDERS['↓::r']}",
+        f"eval2(→⁺::b) = {EVAL2_RENDERS['→⁺::b']}",
+        f"eval2(↓::a) = {EVAL2_RENDERS['↓::a']}",
+        f"eval2(→⁺::b[↓::a]) = {EVAL2_RENDERS['→⁺::b[↓::a]']}",
+        f"eval2(↓::r/→⁺::b[↓::a]) = {EVAL2_RENDERS['↓::r/→⁺::b[↓::a]']}",
+        f"eval2(→⁺::c) = {EVAL2_RENDERS['→⁺::c']}",
+        "eval2(↓::r/→⁺::b[↓::a]/→⁺::c) = ∅",
+    ]
+
+
+def test_render_tuple_set_renders_each_map_once(monkeypatch):
+    counts: dict[str, int] = {}
+    _count_calls(monkeypatch, sat_checker, "render_map", counts)
+    g = worked_graph()
+    for q in sorted(EVAL2_RENDERS):
+        ts = eval2(g, parse_xpath(q))
+        counts.clear()
+        assert render_tuple_set(ts) == EVAL2_RENDERS[q]
+        assert counts == {"render_map": 2 * len(ts)}, q
+
+
+def test_long_queries_need_no_recursion():
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # the interpreter's default
+    try:
+        text = "/".join(["↓::r"] * 10_000)
+        p = parse_xpath(text)
+        assert len(p.steps) == 10_000
+        assert normalize(p) == p
+        assert size(p) == 10_000
+        assert fragment_of(p) == "eval1"
+        assert render_xpath(p, arrows=True) == text
+        assert eval1(worked_graph(), Seq(p.steps[:2000]), trace=False).sat
+        up = parse_xpath("/".join(["↑::r"] * 5_000))
+        assert not satisfies(parse_tree("r(r)"), up)
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def _entailed_by(small: SibMap, big: SibMap) -> bool:
@@ -500,10 +531,16 @@ def test_reused_dtd_answers_like_a_fresh_one():
 
 def _join_by_definition(graph, p):
     """eval2 of a Seq or Qual node as its definition reads: every pair of
-    sub-results whose places meet, kept when the joined map is consistent."""
+    sub-results whose places meet, kept when the joined map is consistent.
+    A Seq splits into all its parts but the last, and the last part."""
     seq = isinstance(p, Seq)
-    t1s = eval2(graph, p.left if seq else p.base)
-    t2s = eval2(graph, p.right if seq else p.qual.path)
+    if seq:
+        left = Seq(p.steps[:-1]) if len(p.steps) > 2 else p.steps[0]
+        right = p.steps[-1]
+    else:
+        left, right = p.base, p.qual.path
+    t1s = eval2(graph, left)
+    t2s = eval2(graph, right)
     out = set()
     for t1 in t1s:
         for t2 in t2s:

@@ -15,10 +15,10 @@ from xpathsat.xpath import Axis, QAnd, QOr, QPath, Qual, Seq, Step, Union
 
 def test_parse_step_with_qualifier():
     got = parse_xpath("child::r/fsib::b[child::a]")
-    want = Seq(
+    want = Seq((
         Step(Axis.CHILD, "r"),
         Qual(Step(Axis.FSIB, "b"), QPath(Step(Axis.CHILD, "a"))),
-    )
+    ))
     assert got == want
 
 
@@ -49,12 +49,14 @@ def test_union_aliases():
 
 
 def test_grouping():
+    # `/` is associative: grouped and flat forms are one flat Seq
     got = parse_xpath("(↓::r/→⁺::b)/(↓::a/↑::b)")
-    want = Seq(
-        Seq(Step(Axis.CHILD, "r"), Step(Axis.FSIB, "b")),
-        Seq(Step(Axis.CHILD, "a"), Step(Axis.PARENT, "b")),
-    )
+    want = Seq((
+        Step(Axis.CHILD, "r"), Step(Axis.FSIB, "b"),
+        Step(Axis.CHILD, "a"), Step(Axis.PARENT, "b"),
+    ))
     assert got == want
+    assert parse_xpath("↓::r/→⁺::b/↓::a/↑::b") == want
 
 
 def test_qualifier_chain_right_associative():
@@ -94,7 +96,12 @@ def test_render_plain_and_arrows():
 
 def test_render_grouped_tail():
     p = parse_xpath("(↓::r/→⁺::b)/(↓::a/↑::b)")
-    assert render_xpath(p, arrows=True) == "↓::r/→⁺::b/(↓::a/↑::b)"
+    assert render_xpath(p, arrows=True) == "↓::r/→⁺::b/↓::a/↑::b"
+    # a union group and a qualified group keep their parentheses
+    for q in ["(↓::a ∪ ↓::b)/↓::c", "(↓::a/↓::b)[↓::c]"]:
+        p = parse_xpath(q)
+        assert render_xpath(p, arrows=True) == q.replace(" ∪ ", "|u|")
+        assert parse_xpath(render_xpath(p, arrows=True)) == p
 
 
 def test_render_qualifier_chain():
@@ -106,12 +113,18 @@ _labels = st.sampled_from(["a", "b", "c", "r"])
 _axes = st.sampled_from(list(Axis))
 
 
+def _seq(left, right):
+    """left/right as the parser builds it: one flat Seq of both sides' parts."""
+    parts = [x for p in (left, right) for x in (p.steps if isinstance(p, Seq) else (p,))]
+    return Seq(tuple(parts))
+
+
 def _paths():
     steps = st.builds(Step, _axes, _labels)
     return st.recursive(
         steps,
         lambda kids: st.one_of(
-            st.builds(Seq, kids, kids),
+            st.builds(_seq, kids, kids),
             st.builds(Union, kids, kids),
             st.builds(Qual, kids, st.builds(QPath, kids)),
             st.builds(
