@@ -48,8 +48,15 @@ class Level:
     dfs: bool                   # True iff a single place that is dfs
 
 
+_RENDERED = ("final_state", "reason", "trace")
+
+
 @dataclass(frozen=True)
 class Verdict:
+    """A decision and how it was reached.  One from `satisfiable` holds its
+    graph and normalized query in place of trace, final_state and reason
+    until one of them is read, then renders all three by one traced re-run."""
+
     sat: bool
     algorithm: str
     final_state: Optional[str]  # eval1 renders it only on traced runs
@@ -57,6 +64,22 @@ class Verdict:
     trace: tuple[str, ...]
     levels: Optional[tuple[Level, ...]] = None  # eval1, on SAT
     beta: Optional[SibMap] = None               # eval1, on SAT
+
+    def __getattr__(self, name: str):
+        # reached only for a field missing from the instance: a deferred one
+        run = vars(self).get("_run")
+        if name not in _RENDERED or run is None:
+            raise AttributeError(name)
+        traced = (eval1 if self.algorithm == "eval1" else _traced_eval2)(*run)
+        vars(self).update({f: getattr(traced, f) for f in _RENDERED})
+        return vars(self)[name]
+
+
+def _deferred(run: tuple, sat: bool, algorithm: str, levels=None, beta=None) -> Verdict:
+    """A verdict whose _RENDERED fields come from a traced run on (graph, p)."""
+    v = object.__new__(Verdict)
+    vars(v).update(sat=sat, algorithm=algorithm, levels=levels, beta=beta, _run=run)
+    return v
 
 
 def render_levels(levels: tuple[Level, ...]) -> str:
@@ -83,8 +106,10 @@ def eval1(graph: SchemaGraph, p: Path, trace: bool = True) -> Verdict:
     """Walk the query over the schema graph, one step at a time.
 
     With trace=False no state strings are rendered at all (final_state comes
-    back None and the trace is empty); the verdict, levels and map are the
-    same either way.  The requirement map lives in a plain dict here: a step
+    back None, the trace is empty and an uncoverable reason names only the
+    key); the verdict, levels and map are the same either way.  `satisfiable`
+    decides untraced and renders the traced fields on first read, by one
+    traced re-run.  The requirement map lives in a plain dict here: a step
     touches one entry, so only that entry needs a fresh coverability check,
     and a child step never unpins anything (the current path only extends),
     so the restriction pass runs only on upward and sideways moves."""
@@ -217,6 +242,8 @@ def eval2(graph: SchemaGraph, p: Path, trace: Optional[list[str]] = None) -> tup
     out: list[Eval2Tuple]
     match p:
         case Step(Axis.CHILD, label):
+            # every place v labeled `label` under every place u carrying v's
+            # parent label; the virtual node has none, so it is never a v
             out = [
                 Eval2Tuple(
                     start=u,
@@ -226,8 +253,8 @@ def eval2(graph: SchemaGraph, p: Path, trace: Optional[list[str]] = None) -> tup
                     rel=(u.label,),
                     rel_dfs=(u.is_dfs,),
                 )
-                for u in graph.nodes
-                for v in graph.children_with_label(u.label, label)
+                for v in graph.places_labeled(label)
+                for u in graph.places_labeled(v.parent_label)
             ]
         case Step(Axis.FSIB | Axis.PSIB as axis, label):
             out = []
@@ -316,27 +343,36 @@ def compile_dtd(d: Dtd) -> SchemaGraph:
     return graph
 
 
+def _traced_eval2(graph: SchemaGraph, p: Path) -> Verdict:
+    trace: list[str] = []
+    tuples = eval2(graph, p, trace)
+    winners = [t for t in tuples if _accepting(t, graph)]
+    if winners:
+        trace.append("verdict: SAT")
+        _, first = min(map(_row, winners))
+        return Verdict(True, "eval2", first, None, tuple(trace))
+    trace.append("verdict: UNSAT")
+    reason = "no realizable run" if not tuples else "no run starts at the virtual root place"
+    return Verdict(False, "eval2", None, reason, tuple(trace))
+
+
 def satisfiable(d: Dtd, query: Path | str) -> Verdict:
     """Decide whether any document conforming to d matches the query from its
     root.  Raises NotMRW/DtdError for out-of-class DTDs and
-    UnsupportedFragment for queries outside both procedures."""
+    UnsupportedFragment for queries outside both procedures.
+
+    The verdict is decided untraced and holds the graph and normalized query;
+    the first read of its trace, final_state or reason renders all three by
+    one traced re-run."""
     p = parse_xpath(query) if isinstance(query, str) else query
     graph = compile_dtd(d)
     p = normalize(p)
     frag = fragment_of(p)
     if frag == "eval1":
-        return eval1(graph, p)
+        v = eval1(graph, p, trace=False)
+        return _deferred((graph, p), v.sat, "eval1", v.levels, v.beta)
     if frag == "eval2":
-        trace: list[str] = []
-        tuples = eval2(graph, p, trace)
-        winners = [t for t in tuples if _accepting(t, graph)]
-        if winners:
-            trace.append("verdict: SAT")
-            _, first = min(map(_row, winners))
-            return Verdict(True, "eval2", first, None, tuple(trace))
-        trace.append("verdict: UNSAT")
-        reason = "no realizable run" if not tuples else "no run starts at the virtual root place"
-        return Verdict(False, "eval2", None, reason, tuple(trace))
+        return _deferred((graph, p), any(_accepting(t, graph) for t in eval2(graph, p)), "eval2")
     raise UnsupportedFragment(
         "query needs recursive axes, union, or qualifier disjunction; "
         "only the bounded oracle covers those"

@@ -128,21 +128,26 @@ class SchemaGraph:
         self.sentinel: SgNode = nodes[0]
         children: dict[str, list[SgNode]] = {lbl: [] for lbl in d.labels}
         by_label: dict[tuple[str, str], list[SgNode]] = {}
+        labeled: dict[str, list[SgNode]] = {d.root: [self.sentinel]}
         for u in nodes[1:]:
             children[u.parent_label].append(u)
             by_label.setdefault((u.parent_label, u.label), []).append(u)
-        self._children: dict[str, tuple[SgNode, ...]] = {
-            lbl: tuple(us) for lbl, us in children.items()
-        }
-        self._by_label: dict[tuple[str, str], tuple[SgNode, ...]] = {
-            key: tuple(us) for key, us in by_label.items()
-        }
+            labeled.setdefault(u.label, []).append(u)
+        # parent label, (parent label, label) and label -> places, index order
+        self._children, self._by_label, self._labeled = (
+            {key: tuple(us) for key, us in m.items()} for m in (children, by_label, labeled)
+        )
 
     def children(self, parent_label: str) -> tuple[SgNode, ...]:
         return self._children.get(parent_label, ())
 
     def children_with_label(self, parent_label: str, label: str) -> tuple[SgNode, ...]:
         return self._by_label.get((parent_label, label), ())
+
+    def places_labeled(self, label: str | None) -> tuple[SgNode, ...]:
+        """Every place carrying label, the virtual node included; none for
+        None, the virtual node's parent label."""
+        return self._labeled.get(label, ())
 
     def edges(self) -> list[tuple[SgNode, SgNode]]:
         return [(u, v) for u in self.nodes for v in self.children(u.label)]

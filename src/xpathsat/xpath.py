@@ -19,6 +19,7 @@ over rather than recursed into: `(↓::a/↓::b)/↓::c` parses to the node of
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass
 
 from .errors import ParseError
@@ -103,36 +104,18 @@ Path = Step | Seq | Union | Qual
 # --- lexer -------------------------------------------------------------------
 
 _WORD_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_WORD_CONT = _WORD_START | set("0123456789.-")
-_MULTI = ["::", "|u|", "↓*", "↑*", "→⁺", "←⁺", "→+", "←+", "↓", "↑", "∪"]
+# one token, whitespace, or (second group) a character no token starts with
+_TOKEN = re.compile(
+    r"(::|\|u\||[↓↑]\*|[→←][⁺+]|[↓↑∪/\[\]()]|[A-Za-z_][A-Za-z0-9_.\-]*)|\s+|(.)"
+)
 
 
 def _tokenize(text: str) -> list[str]:
-    toks: list[str] = []
-    i = 0
-    while i < len(text):
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        for m in _MULTI:
-            if text.startswith(m, i):
-                toks.append("|u|" if m == "∪" else m)
-                i += len(m)
-                break
-        else:
-            if c in "/[]()":
-                toks.append(c)
-                i += 1
-            elif c in _WORD_START:
-                j = i + 1
-                while j < len(text) and text[j] in _WORD_CONT:
-                    j += 1
-                toks.append(text[i:j])
-                i = j
-            else:
-                raise ParseError(f"unexpected character {c!r} in query")
-    return toks
+    found = _TOKEN.findall(text)
+    for _, bad in found:
+        if bad:
+            raise ParseError(f"unexpected character {bad!r} in query")
+    return ["|u|" if tok == "∪" else tok for tok, _ in found if tok]
 
 
 _AXIS_BY_NAME = {a.value: a for a in Axis}

@@ -6,6 +6,9 @@
   keeps the realizable label subsequences of a model.
 * Schema-graph mappings of concrete trees and a bounded search for a tree
   that witnesses a requirement map, which cross-check `consistent`.
+* Earlier forms of package code that a faster form replaced, kept as
+  references: the character-by-character query lexer, the eval2 child arm
+  that probes every place, and the eagerly traced eval2 verdict.
 """
 
 from __future__ import annotations
@@ -13,11 +16,14 @@ from __future__ import annotations
 from collections.abc import Iterable
 from itertools import product
 
-from xpathsat.constraints import DfsBits, Key, SibEntry, SibMap
+from xpathsat.constraints import DfsBits, Key, SibEntry, SibMap, psi
 from xpathsat.content_model import Expr, Nfa, symbol_counts
 from xpathsat.dtd import Dtd
+from xpathsat.errors import ParseError
 from xpathsat.oracle import DocTree, NodePath, Word, iter_trees, node_at
-from xpathsat.schema_graph import SgNode, build_schema_graph
+from xpathsat.sat_checker import Eval2Tuple, Verdict, _accepting, _row, eval2
+from xpathsat.schema_graph import SchemaGraph, SgNode, build_schema_graph
+from xpathsat.xpath import Path
 
 
 # --- words and maps --------------------------------------------------------
@@ -213,3 +219,71 @@ def find_beta_witness(d: Dtd, b: SibMap, depth: int, rep: int):
             if mappings:
                 return t, mappings[0]
     return None
+
+
+# --- replaced forms of package code --------------------------------------------
+
+_WORD_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
+_WORD_CONT = _WORD_START | set("0123456789.-")
+_MULTI = ["::", "|u|", "↓*", "↑*", "→⁺", "←⁺", "→+", "←+", "↓", "↑", "∪"]
+
+
+def reference_tokenize(text: str) -> list[str]:
+    """The query lexer as it was before the single regular-expression pass."""
+    toks: list[str] = []
+    i = 0
+    while i < len(text):
+        c = text[i]
+        if c.isspace():
+            i += 1
+            continue
+        for m in _MULTI:
+            if text.startswith(m, i):
+                toks.append("|u|" if m == "∪" else m)
+                i += len(m)
+                break
+        else:
+            if c in "/[]()":
+                toks.append(c)
+                i += 1
+            elif c in _WORD_START:
+                j = i + 1
+                while j < len(text) and text[j] in _WORD_CONT:
+                    j += 1
+                toks.append(text[i:j])
+                i = j
+            else:
+                raise ParseError(f"unexpected character {c!r} in query")
+    return toks
+
+
+def probing_child_arm(graph: SchemaGraph, label: str) -> tuple[Eval2Tuple, ...]:
+    """eval2 of a child step as it was before the label index: every place u
+    of the graph probed for children labeled `label`."""
+    return tuple(
+        Eval2Tuple(
+            start=u,
+            pre=SibMap.empty(),
+            end=v,
+            post=SibMap.of([(((u.label,)), psi(v), (u.is_dfs,))]),
+            rel=(u.label,),
+            rel_dfs=(u.is_dfs,),
+        )
+        for u in graph.nodes
+        for v in graph.children_with_label(u.label, label)
+    )
+
+
+def eager_eval2_verdict(graph: SchemaGraph, p: Path) -> Verdict:
+    """The eval2 verdict of a normalized query as `satisfiable` built it
+    before deciding untraced: traced, with every field rendered at once."""
+    trace: list[str] = []
+    tuples = eval2(graph, p, trace)
+    winners = [t for t in tuples if _accepting(t, graph)]
+    if winners:
+        trace.append("verdict: SAT")
+        _, first = min(map(_row, winners))
+        return Verdict(True, "eval2", first, None, tuple(trace))
+    trace.append("verdict: UNSAT")
+    reason = "no realizable run" if not tuples else "no run starts at the virtual root place"
+    return Verdict(False, "eval2", None, reason, tuple(trace))

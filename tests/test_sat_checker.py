@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import sys
+import tracemalloc
 
 import pytest
 
@@ -26,7 +27,7 @@ from xpathsat.content_model import Star, Symbol, disj_of
 from xpathsat import sat_checker
 from xpathsat.oracle import oracle_satisfiable, parse_tree, render_tree, satisfies
 from xpathsat.sat_checker import Eval2Tuple, compile_dtd, eval1, eval2, render_tuple_set
-from xpathsat.xpath import Qual, Seq, normalize
+from xpathsat.xpath import Axis, Qual, Seq, Step, normalize
 
 from gens import (
     random_eval1_query,
@@ -34,6 +35,7 @@ from gens import (
     random_mdf_dc_dtd,
     tree_count,
 )
+from support import eager_eval2_verdict, probing_child_arm
 
 WORKED = "root r\nr := r*(a*b|c)r*\na := eps\nb := a\nc := eps\n"
 
@@ -570,3 +572,82 @@ def test_eval2_joins_match_their_definition_on_a_dense_dtd():
         assert set(eval2(g, p)) == _join_by_definition(g, p), p
         kinds.add(type(p))
     assert kinds == {Seq, Qual}
+
+
+def test_child_arm_pairs_the_places_that_probing_every_place_finds():
+    rng = random.Random(3131)
+    dtds = [random_mdf_dc_dtd(rng) for _ in range(20)] + [_dense_dtd(10)]
+    total = 0
+    for d in dtds:
+        g = compile_dtd(d)
+        for label in d.labels + ("zz",):
+            got = eval2(g, Step(Axis.CHILD, label))
+            assert set(got) == set(probing_child_arm(g, label)), (d.rules, label)
+            total += len(got)
+    assert total > 500
+
+
+# ------------------------------------------------------- traces on first read
+
+_RENDERERS = ("render_state", "render_map", "render_tuple_set", "_row")
+
+
+def _count_renders(monkeypatch) -> list[str]:
+    calls: list[str] = []
+    for name in _RENDERERS:
+        def counted(*args, _real=getattr(sat_checker, name), _name=name):
+            calls.append(_name)
+            return _real(*args)
+        monkeypatch.setattr(sat_checker, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("q, algorithm, sat", [
+    (SAT_QUERY, "eval1", True),
+    (UNSAT_QUERY, "eval1", False),
+    ("↓::r/→⁺::b[↓::a]", "eval2", True),
+    ("→⁺::b[↓::a]", "eval2", False),
+    ("↓::q[↓::a]", "eval2", False),
+])
+def test_satisfiable_renders_nothing_until_the_trace_is_read(monkeypatch, q, algorithm, sat):
+    calls = _count_renders(monkeypatch)
+    v = satisfiable(parse_dtd(WORKED), q)
+    assert (v.sat, v.algorithm) == (sat, algorithm)
+    assert calls == []
+    assert v.trace[-1] == f"verdict: {'SAT' if sat else 'UNSAT'}"
+    assert calls
+
+
+def test_deferred_fields_equal_the_eager_ones():
+    rng = random.Random(1717)
+    seen = set()
+    for _ in range(25):
+        d = random_mdf_dc_dtd(rng)
+        g = compile_dtd(d)
+        for q in [random_eval1_query(rng, d) for _ in range(4)] + [
+            random_eval2_query(rng, d) for _ in range(4)
+        ]:
+            v = satisfiable(d, q)
+            p = normalize(q)
+            eager = eval1(g, p) if v.algorithm == "eval1" else eager_eval2_verdict(g, p)
+            assert (v.trace, v.final_state, v.reason) == (
+                eager.trace, eager.final_state, eager.reason), (d.rules, q)
+            assert v == eager and repr(v) == repr(eager)
+            seen.add((v.algorithm, v.sat))
+    assert seen == {("eval1", True), ("eval1", False), ("eval2", True), ("eval2", False)}
+
+
+def test_long_chain_verdict_is_cheap_until_its_trace_is_read(monkeypatch):
+    d = parse_dtd(WORKED)
+    compile_dtd(d)
+    calls = _count_renders(monkeypatch)
+    tracemalloc.start()
+    try:
+        v = satisfiable(d, "/".join(["↓::r"] * 1000))
+        assert v.sat
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert calls == []
+    assert peak < 20 * 2**20
+    assert len(v.trace) == 1002

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import random
+
 from hypothesis import given, strategies as st
 
 import pytest
 
 from xpathsat import ParseError, fragment_of, normalize, parse_xpath, render_xpath, size
-from xpathsat.xpath import Axis, QAnd, QOr, QPath, Qual, Seq, Step, Union
+from xpathsat.xpath import Axis, QAnd, QOr, QPath, Qual, Seq, Step, Union, _tokenize
+
+from support import reference_tokenize
 
 
 # ------------------------------------------------------------------- parsing
@@ -83,6 +87,30 @@ def test_stacked_qualifiers():
 def test_parse_errors(bad):
     with pytest.raises(ParseError):
         parse_xpath(bad)
+
+
+# single characters, plus whole tokens so that many strings lex cleanly
+_LEX_ALPHABET = list("↓↑→←∪⁺+*:|u/[]()0123456789.-_abrxZ \t\n\x1cé!") + [
+    "::", "|u|", "↓*", "→⁺", "←+", "child", "and", "x.1-b",
+]
+
+
+def _lex(lexer, text):
+    try:
+        return lexer(text)
+    except ParseError as exc:
+        return f"ParseError: {exc}"
+
+
+def test_tokenize_matches_the_reference_lexer():
+    rng = random.Random(2024)
+    outcomes = {"tokens": 0, "error": 0}
+    for _ in range(20_000):
+        text = "".join(rng.choices(_LEX_ALPHABET, k=rng.randint(0, 12)))
+        got = _lex(_tokenize, text)
+        assert got == _lex(reference_tokenize, text), repr(text)
+        outcomes["error" if isinstance(got, str) else "tokens"] += 1
+    assert min(outcomes.values()) > 2_000, outcomes
 
 
 # ----------------------------------------------------------------- rendering
