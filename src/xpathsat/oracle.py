@@ -7,11 +7,16 @@ checking the conforming trees within a depth bound and a per-star repetition
 bound.  They come smallest first, by node count and then preorder labels,
 and the search stops at the first witness.  A found witness is definitive;
 exhaustion of the bound is reported as unknown, never as unsatisfiable.
+
+A search compiles its query once, into closures, and runs them on every
+tree.  They work on parent-linked nodes: a step reads the children of the
+node or of its parent, or follows the parent link, and never walks down
+from the root again.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
@@ -87,12 +92,6 @@ def parse_tree(text: str) -> DocTree:
     return t
 
 
-def node_at(t: DocTree, path: NodePath) -> DocTree:
-    for i in path:
-        t = t.children[i]
-    return t
-
-
 # --- conformance ---------------------------------------------------------------
 
 def conforms(t: DocTree, d: Dtd) -> bool:
@@ -110,94 +109,134 @@ def conforms(t: DocTree, d: Dtd) -> bool:
 
 
 # --- full query semantics --------------------------------------------------------
+#
+# A query is compiled once into nested closures that map a set of context
+# nodes to the set the query selects from them.  A node is a context
+# `(path, node, parent context)`: child and sibling steps read the parent's
+# children, parent and ancestor steps follow the parent link, so no step
+# walks down from the root.  A set of nodes is a dict keyed by NodePath.
+
+Ctx = tuple  # (NodePath, DocTree, parent Ctx), with None above the root
+Nodes = dict[NodePath, Ctx]
+
+
+def _compile(p: Path) -> Callable[[Nodes], Nodes]:
+    quals: list[Callable[[Ctx], bool]] = []
+    while isinstance(p, Qual):  # stacked qualifiers, peeled in a loop
+        quals.append(_compile_qual(p.qual))
+        p = p.base
+    match p:
+        case Step(axis, label):
+            f = _compile_step(axis, label)
+        case Seq(steps):
+            parts = [_compile(x) for x in steps]
+
+            def f(nodes: Nodes) -> Nodes:
+                for part in parts:
+                    if not nodes:
+                        break
+                    nodes = part(nodes)
+                return nodes
+        case Union(left, right):
+            lf, rf = _compile(left), _compile(right)
+
+            def f(nodes: Nodes) -> Nodes:
+                return lf(nodes) | rf(nodes)
+        case _:
+            raise TypeError(f"not a path: {p!r}")
+    if not quals:
+        return f
+    quals.reverse()  # innermost first, as the stack applies them
+
+    def qualified(nodes: Nodes) -> Nodes:
+        return {k: c for k, c in f(nodes).items() if all(q(c) for q in quals)}
+
+    return qualified
+
+
+def _compile_qual(q: Qexpr) -> Callable[[Ctx], bool]:
+    match q:
+        case QPath(path):
+            f = _compile(path)
+            return lambda c: bool(f({c[0]: c}))
+        case QAnd(left, right):
+            lq, rq = _compile_qual(left), _compile_qual(right)
+            return lambda c: lq(c) and rq(c)
+        case QOr(left, right):
+            lq, rq = _compile_qual(left), _compile_qual(right)
+            return lambda c: lq(c) or rq(c)
+    raise TypeError(f"not a qualifier: {q!r}")
+
+
+def _compile_step(axis: Axis, label: str) -> Callable[[Nodes], Nodes]:
+    match axis:
+        case Axis.CHILD:
+            def step(nodes: Nodes) -> Nodes:
+                out = {}
+                for c in nodes.values():
+                    path = c[0]
+                    for i, v in enumerate(c[1].children):
+                        if v.label == label:
+                            k = path + (i,)
+                            out[k] = (k, v, c)
+                return out
+        case Axis.PARENT:
+            def step(nodes: Nodes) -> Nodes:
+                out = {}
+                for _, _, up in nodes.values():
+                    if up is not None and up[1].label == label:
+                        out[up[0]] = up
+                return out
+        case Axis.DESC_OR_SELF:
+            def step(nodes: Nodes) -> Nodes:
+                out = {}
+                stack = list(nodes.values())
+                while stack:
+                    c = stack.pop()
+                    path, v, _ = c
+                    if v.label == label:
+                        out[path] = c
+                    stack.extend((path + (i,), w, c) for i, w in enumerate(v.children))
+                return out
+        case Axis.ANC_OR_SELF:
+            def step(nodes: Nodes) -> Nodes:
+                out = {}
+                for c in nodes.values():
+                    while c is not None:
+                        if c[1].label == label:
+                            out[c[0]] = c
+                        c = c[2]
+                return out
+        case Axis.FSIB | Axis.PSIB:
+            following = axis is Axis.FSIB
+
+            def step(nodes: Nodes) -> Nodes:
+                out = {}
+                for path, _, up in nodes.values():
+                    if up is None:
+                        continue
+                    kids = up[1].children
+                    for j in range(path[-1] + 1, len(kids)) if following else range(path[-1]):
+                        if kids[j].label == label:
+                            k = up[0] + (j,)
+                            out[k] = (k, kids[j], up)
+                return out
+        case _:
+            raise TypeError(f"not an axis: {axis!r}")
+    return step
+
 
 def eval_xpath_full(t: DocTree, p: Path, start: NodePath = ()) -> set[NodePath]:
     """All nodes the query selects from `start`, by the standard semantics."""
-    match p:
-        case Step(axis, label):
-            return _step(t, axis, label, start)
-        case Seq(steps):
-            nodes = {start}
-            for x in steps:
-                after: set[NodePath] = set()
-                for mid in nodes:
-                    after |= eval_xpath_full(t, x, mid)
-                nodes = after
-            return nodes
-        case Union(left, right):
-            return eval_xpath_full(t, left, start) | eval_xpath_full(t, right, start)
-        case Qual(base, qual):
-            return {
-                e for e in eval_xpath_full(t, base, start) if _holds(t, qual, e)
-            }
-    raise TypeError(f"not a path: {p!r}")
-
-
-def _step(t: DocTree, axis: Axis, label: str, cur: NodePath) -> set[NodePath]:
-    node = node_at(t, cur)
-    match axis:
-        case Axis.CHILD:
-            return {
-                cur + (i,)
-                for i, c in enumerate(node.children)
-                if c.label == label
-            }
-        case Axis.PARENT:
-            if cur and node_at(t, cur[:-1]).label == label:
-                return {cur[:-1]}
-            return set()
-        case Axis.DESC_OR_SELF:
-            out: set[NodePath] = set()
-
-            def walk(path: NodePath, v: DocTree) -> None:
-                if v.label == label:
-                    out.add(path)
-                for i, c in enumerate(v.children):
-                    walk(path + (i,), c)
-
-            walk(cur, node)
-            return out
-        case Axis.ANC_OR_SELF:
-            return {
-                cur[:k]
-                for k in range(len(cur) + 1)
-                if node_at(t, cur[:k]).label == label
-            }
-        case Axis.FSIB:
-            if not cur:
-                return set()
-            parent = node_at(t, cur[:-1])
-            return {
-                cur[:-1] + (j,)
-                for j in range(cur[-1] + 1, len(parent.children))
-                if parent.children[j].label == label
-            }
-        case Axis.PSIB:
-            if not cur:
-                return set()
-            parent = node_at(t, cur[:-1])
-            return {
-                cur[:-1] + (j,)
-                for j in range(cur[-1])
-                if parent.children[j].label == label
-            }
-    raise TypeError(f"not an axis: {axis!r}")
-
-
-def _holds(t: DocTree, q: Qexpr, at: NodePath) -> bool:
-    match q:
-        case QPath(path):
-            return bool(eval_xpath_full(t, path, at))
-        case QAnd(left, right):
-            return _holds(t, left, at) and _holds(t, right, at)
-        case QOr(left, right):
-            return _holds(t, left, at) or _holds(t, right, at)
-    raise TypeError(f"not a qualifier: {q!r}")
+    c: Ctx = ((), t, None)
+    for i in start:
+        c = (c[0] + (i,), c[1].children[i], c)
+    return set(_compile(p)({start: c}))
 
 
 def satisfies(t: DocTree, p: Path) -> bool:
     """Match from the document root (the root is the initial context node)."""
-    return bool(eval_xpath_full(t, p, ()))
+    return bool(_compile(p)({(): ((), t, None)}))
 
 
 # --- bounded enumeration ---------------------------------------------------------
@@ -357,8 +396,10 @@ def enumerate_trees(d: Dtd, depth: int, rep: int) -> list[DocTree]:
 def oracle_satisfiable(d: Dtd, p: Path, depth: int, rep: int) -> DocTree | None:
     """First conforming tree (smallest first: node count, then preorder
     labels) matching p; the search stops there.  None when the bounded
-    search is exhausted, which means unknown, not unsatisfiable."""
+    search is exhausted, which means unknown, not unsatisfiable.  The query
+    is compiled once and run on every tree."""
+    matches = _compile(p)
     for t in iter_trees(d, depth, rep):
-        if satisfies(t, p):
+        if matches({(): ((), t, None)}):
             return t
     return None

@@ -257,19 +257,21 @@ def eval2(graph: SchemaGraph, p: Path, trace: Optional[list[str]] = None) -> tup
                 for u in graph.places_labeled(v.parent_label)
             ]
         case Step(Axis.FSIB | Axis.PSIB as axis, label):
-            out = []
-            for parent_label in d.labels:
-                for u in graph.children(parent_label):
-                    for v in graph.children_with_label(parent_label, label):
-                        if _admissible(u, v, axis):
-                            out.append(Eval2Tuple(
-                                start=u,
-                                pre=SibMap.of([((), psi(u), ())]),
-                                end=v,
-                                post=SibMap.of([((), psi(u) | psi(v), ())]),
-                                rel=(),
-                                rel_dfs=(),
-                            ))
+            # every place v labeled `label` beside every place u under v's
+            # parent label; the virtual node has no parent, so no siblings
+            out = [
+                Eval2Tuple(
+                    start=u,
+                    pre=SibMap.of([((), psi(u), ())]),
+                    end=v,
+                    post=SibMap.of([((), psi(u) | psi(v), ())]),
+                    rel=(),
+                    rel_dfs=(),
+                )
+                for v in graph.places_labeled(label)
+                for u in graph.children(v.parent_label)
+                if _admissible(u, v, axis)
+            ]
         case Step(axis, _):
             raise UnsupportedFragment(f"axis {axis.value} is outside eval2")
         case Seq(steps):

@@ -138,7 +138,9 @@ class SchemaGraph:
             {key: tuple(us) for key, us in m.items()} for m in (children, by_label, labeled)
         )
 
-    def children(self, parent_label: str) -> tuple[SgNode, ...]:
+    def children(self, parent_label: str | None) -> tuple[SgNode, ...]:
+        """The places under parent_label; none for None, the virtual
+        node's parent label."""
         return self._children.get(parent_label, ())
 
     def children_with_label(self, parent_label: str, label: str) -> tuple[SgNode, ...]:

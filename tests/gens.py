@@ -12,7 +12,7 @@ from xpathsat import (
 )
 from xpathsat.content_model import concat_of, disj_of, symbol_counts
 from xpathsat.constraints import SibEntry, SibMap, psi
-from xpathsat.xpath import Axis, Path, QAnd, QPath, Qual, Seq, Step
+from xpathsat.xpath import Axis, Path, QAnd, QOr, QPath, Qexpr, Qual, Seq, Step, Union
 
 
 # --- arbitrary content models (no class guarantee) ---------------------------
@@ -240,6 +240,34 @@ def random_eval2_query(rng, d: Dtd, budget=4) -> Path:
         if rng.random() < 0.6:
             break
     return _seq(steps)  # type: ignore[arg-type]
+
+
+def random_full_query(rng, labels, depth=2) -> Path:
+    """A query of the whole language: steps on all six axes, sequences,
+    union, and qualifiers (stacked ones too) joined by `and` and `or`,
+    nested at most `depth` deep."""
+
+    def path(depth: int) -> Path:
+        kind = rng.choice(["step", "seq", "seq", "union", "qual"]) if depth else "step"
+        if kind == "step":
+            return Step(rng.choice(list(Axis)), _pick_label(rng, labels))
+        if kind == "seq":
+            parts: list[Path] = []
+            for _ in range(rng.randint(2, 3)):
+                x = path(depth - 1)
+                parts.extend(x.steps if isinstance(x, Seq) else (x,))
+            return Seq(tuple(parts))
+        if kind == "union":
+            return Union(path(depth - 1), path(depth - 1))
+        return Qual(path(depth - 1), qual(depth - 1))
+
+    def qual(depth: int) -> Qexpr:
+        kind = rng.choice(["path", "path", "and", "or"]) if depth else "path"
+        if kind == "path":
+            return QPath(path(depth))
+        return (QAnd if kind == "and" else QOr)(qual(depth - 1), qual(depth - 1))
+
+    return path(depth)
 
 
 # --- sibling-constraint maps ---------------------------------------------------

@@ -7,8 +7,9 @@
 * Schema-graph mappings of concrete trees and a bounded search for a tree
   that witnesses a requirement map, which cross-check `consistent`.
 * Earlier forms of package code that a faster form replaced, kept as
-  references: the character-by-character query lexer, the eval2 child arm
-  that probes every place, and the eagerly traced eval2 verdict.
+  references: the character-by-character query lexer, the eval2 child and
+  sibling arms that probe every place, the eagerly traced eval2 verdict,
+  and the oracle's per-tree query interpreter with the search over it.
 """
 
 from __future__ import annotations
@@ -20,10 +21,17 @@ from xpathsat.constraints import DfsBits, Key, SibEntry, SibMap, psi
 from xpathsat.content_model import Expr, Nfa, symbol_counts
 from xpathsat.dtd import Dtd
 from xpathsat.errors import ParseError
-from xpathsat.oracle import DocTree, NodePath, Word, iter_trees, node_at
-from xpathsat.sat_checker import Eval2Tuple, Verdict, _accepting, _row, eval2
+from xpathsat.oracle import DocTree, NodePath, Word, iter_trees
+from xpathsat.sat_checker import Eval2Tuple, Verdict, _accepting, _admissible, _row, eval2
 from xpathsat.schema_graph import SchemaGraph, SgNode, build_schema_graph
-from xpathsat.xpath import Path
+from xpathsat.xpath import Axis, Path, QAnd, QOr, QPath, Qexpr, Qual, Seq, Step, Union
+
+
+def node_at(t: DocTree, path: NodePath) -> DocTree:
+    """The node at the end of a path of child indices from the root."""
+    for i in path:
+        t = t.children[i]
+    return t
 
 
 # --- words and maps --------------------------------------------------------
@@ -287,3 +295,116 @@ def eager_eval2_verdict(graph: SchemaGraph, p: Path) -> Verdict:
     trace.append("verdict: UNSAT")
     reason = "no realizable run" if not tuples else "no run starts at the virtual root place"
     return Verdict(False, "eval2", None, reason, tuple(trace))
+
+
+def probing_sibling_arm(graph: SchemaGraph, axis: Axis, label: str) -> tuple[Eval2Tuple, ...]:
+    """eval2 of a sibling step as it was before the label index: every place
+    u under every parent label probed for siblings labeled `label`."""
+    return tuple(
+        Eval2Tuple(
+            start=u,
+            pre=SibMap.of([((), psi(u), ())]),
+            end=v,
+            post=SibMap.of([((), psi(u) | psi(v), ())]),
+            rel=(),
+            rel_dfs=(),
+        )
+        for parent_label in graph.dtd.labels
+        for u in graph.children(parent_label)
+        for v in graph.children_with_label(parent_label, label)
+        if _admissible(u, v, axis)
+    )
+
+
+def reference_eval(t: DocTree, p: Path, start: NodePath = ()) -> set[NodePath]:
+    """The oracle's evaluator as it was before the query compiler: the query
+    interpreted afresh on every tree, each step re-walking from the root."""
+    match p:
+        case Step(axis, label):
+            return _reference_step(t, axis, label, start)
+        case Seq(steps):
+            nodes = {start}
+            for x in steps:
+                after: set[NodePath] = set()
+                for mid in nodes:
+                    after |= reference_eval(t, x, mid)
+                nodes = after
+            return nodes
+        case Union(left, right):
+            return reference_eval(t, left, start) | reference_eval(t, right, start)
+        case Qual(base, qual):
+            return {
+                e for e in reference_eval(t, base, start) if _reference_holds(t, qual, e)
+            }
+    raise TypeError(f"not a path: {p!r}")
+
+
+def _reference_step(t: DocTree, axis: Axis, label: str, cur: NodePath) -> set[NodePath]:
+    node = node_at(t, cur)
+    match axis:
+        case Axis.CHILD:
+            return {
+                cur + (i,)
+                for i, c in enumerate(node.children)
+                if c.label == label
+            }
+        case Axis.PARENT:
+            if cur and node_at(t, cur[:-1]).label == label:
+                return {cur[:-1]}
+            return set()
+        case Axis.DESC_OR_SELF:
+            out: set[NodePath] = set()
+
+            def walk(path: NodePath, v: DocTree) -> None:
+                if v.label == label:
+                    out.add(path)
+                for i, c in enumerate(v.children):
+                    walk(path + (i,), c)
+
+            walk(cur, node)
+            return out
+        case Axis.ANC_OR_SELF:
+            return {
+                cur[:k]
+                for k in range(len(cur) + 1)
+                if node_at(t, cur[:k]).label == label
+            }
+        case Axis.FSIB:
+            if not cur:
+                return set()
+            parent = node_at(t, cur[:-1])
+            return {
+                cur[:-1] + (j,)
+                for j in range(cur[-1] + 1, len(parent.children))
+                if parent.children[j].label == label
+            }
+        case Axis.PSIB:
+            if not cur:
+                return set()
+            parent = node_at(t, cur[:-1])
+            return {
+                cur[:-1] + (j,)
+                for j in range(cur[-1])
+                if parent.children[j].label == label
+            }
+    raise TypeError(f"not an axis: {axis!r}")
+
+
+def _reference_holds(t: DocTree, q: Qexpr, at: NodePath) -> bool:
+    match q:
+        case QPath(path):
+            return bool(reference_eval(t, path, at))
+        case QAnd(left, right):
+            return _reference_holds(t, left, at) and _reference_holds(t, right, at)
+        case QOr(left, right):
+            return _reference_holds(t, left, at) or _reference_holds(t, right, at)
+    raise TypeError(f"not a qualifier: {q!r}")
+
+
+def reference_search(d: Dtd, p: Path, depth: int, rep: int) -> DocTree | None:
+    """The oracle search as it was before the query compiler: the first
+    tree of the stream on which the reference evaluator selects a node."""
+    for t in iter_trees(d, depth, rep):
+        if reference_eval(t, p):
+            return t
+    return None

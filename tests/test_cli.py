@@ -218,6 +218,14 @@ def test_oracle_witness(worked_file):
     assert (code, out) == (0, "SAT r(r(c),b(a))\n")
 
 
+def test_oracle_stacked_qualifiers(worked_file):
+    # 1,500 stacked qualifiers are peeled in a loop, not one call each
+    argv = ["oracle", "--dtd", worked_file, "--depth", "3", "--rep", "2", "--xpath"]
+    want = (0, "SAT r(c,r(c))\n", "")
+    assert run(argv + ["↓::r[↓::c]"]) == want
+    assert run(argv + ["↓::r" + "[↓::c]" * 1500]) == want
+
+
 def test_oracle_readme_quick_start(worked_file):
     # default bounds: depth 4, rep max(2, query size)
     code, out, _ = run(["oracle", "--dtd", worked_file, "--xpath", "↓::r/→⁺::b"])

@@ -17,16 +17,23 @@ from xpathsat.oracle import (
     eval_xpath_full,
     iter_trees,
     min_heights,
-    node_at,
     oracle_satisfiable,
     parse_tree,
     render_tree,
     satisfies,
     words_capped,
 )
+from xpathsat.xpath import Axis, Step, render_xpath
 
-from gens import random_mdf_dc_dtd, tree_count
-from support import beta_satisfied, compute_sg_mappings, find_beta_witness
+from gens import random_full_query, random_mdf_dc_dtd, tree_count
+from support import (
+    beta_satisfied,
+    compute_sg_mappings,
+    find_beta_witness,
+    node_at,
+    reference_eval,
+    reference_search,
+)
 
 WORKED = "root r\nr := r*(a*b|c)r*\na := eps\nb := a\nc := eps\n"
 WORKED_TREE = "r(r(c),a,a,b(a))"
@@ -143,6 +150,105 @@ def test_satisfies_worked_queries():
     assert satisfies(t, parse_xpath("↓::r/→⁺::b[↓::a]"))
     assert not satisfies(t, parse_xpath("(↓::r/→⁺::b)/(↓::a/↑::b)/→⁺::c"))
     assert not satisfies(parse_tree("r"), parse_xpath("↓::a"))
+
+
+def _differential_dtds():
+    """Small recursion-free gens DTDs and two recursive ones, each with the
+    bounds its trees are drawn at."""
+    rng = random.Random(808)
+    out = [
+        (worked(), 3, 3),
+        (parse_dtd("root r\nr := s*a?\ns := s?a?\na := eps\n"), 4, 2),
+    ]
+    while len(out) < 10:
+        d = random_mdf_dc_dtd(rng)
+        if tree_count(d, 2) <= 400:
+            out.append((d, len(d.labels), 2))
+    return out
+
+
+def _node_paths(t, path=()):
+    yield path
+    for i, c in enumerate(t.children):
+        yield from _node_paths(c, path + (i,))
+
+
+def test_compiled_steps_select_what_the_reference_selects():
+    # every axis and label from every node of sampled trees
+    rng = random.Random(1617)
+    selected = 0
+    for d, depth, rep in _differential_dtds():
+        trees = list(iter_trees(d, depth, rep))
+        for t in rng.sample(trees, min(8, len(trees))):
+            for start in _node_paths(t):
+                for axis in Axis:
+                    for label in d.labels:
+                        q = Step(axis, label)
+                        got = eval_xpath_full(t, q, start)
+                        assert got == reference_eval(t, q, start), (render_tree(t), q, start)
+                        selected += len(got)
+    assert selected > 5000
+
+
+def test_compiled_queries_select_what_the_reference_selects():
+    rng = random.Random(3141)
+    cases = nonempty = inner = 0
+    for d, depth, rep in _differential_dtds():
+        trees = list(iter_trees(d, depth, rep))
+        for t in rng.sample(trees, min(10, len(trees))):
+            nodes = list(_node_paths(t))
+            for _ in range(30):
+                q = random_full_query(rng, d.labels)
+                start = rng.choice(nodes)
+                got = eval_xpath_full(t, q, start)
+                assert got == reference_eval(t, q, start), (
+                    render_tree(t), render_xpath(q, arrows=True), start)
+                assert satisfies(t, q) == bool(reference_eval(t, q))
+                cases += 1
+                nonempty += bool(got)
+                inner += bool(start)
+    assert cases > 2000 and nonempty > 250 and inner > 1500
+
+
+def test_oracle_search_answers_what_the_former_search_answered():
+    rng = random.Random(2718)
+    answers = []
+    for d, depth, rep in _differential_dtds():
+        for _ in range(25):
+            q = random_full_query(rng, d.labels)
+            got = oracle_satisfiable(d, q, depth, rep)
+            want = reference_search(d, q, depth, rep)
+            assert got == want, render_xpath(q, arrows=True)
+            answers.append(None if got is None else render_tree(got))
+    found = [a for a in answers if a is not None]
+    assert len(found) > 25 and len(answers) - len(found) > 25
+    assert len(set(found)) > 10
+
+
+def test_oracle_search_compiles_once_and_has_no_node_at(monkeypatch):
+    # an UNSAT query runs on all 36 trees of the bounded space, and the
+    # search compiles it as often as one direct compilation does
+    q = parse_xpath("(↓::r/→⁺::b)/(↓::a/↑::b)/→⁺::c[↓::q or ↑*::r]")
+    compiled = []
+    real = oracle._compile
+    monkeypatch.setattr(oracle, "_compile", lambda p: compiled.append(p) or real(p))
+    oracle._compile(q)
+    once = len(compiled)
+    compiled.clear()
+    checked = 0
+    real_iter = oracle.iter_trees
+
+    def counted_trees(*args):
+        nonlocal checked
+        for t in real_iter(*args):
+            checked += 1
+            yield t
+
+    monkeypatch.setattr(oracle, "iter_trees", counted_trees)
+    assert oracle_satisfiable(worked(), q, depth=3, rep=2) is None
+    assert checked == 36
+    assert compiled[0] is q and len(compiled) == once
+    assert not hasattr(oracle, "node_at")
 
 
 # --------------------------------------------------------------- enumeration

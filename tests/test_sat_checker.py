@@ -35,7 +35,7 @@ from gens import (
     random_mdf_dc_dtd,
     tree_count,
 )
-from support import eager_eval2_verdict, probing_child_arm
+from support import eager_eval2_verdict, probing_child_arm, probing_sibling_arm
 
 WORKED = "root r\nr := r*(a*b|c)r*\na := eps\nb := a\nc := eps\n"
 
@@ -584,6 +584,22 @@ def test_child_arm_pairs_the_places_that_probing_every_place_finds():
             got = eval2(g, Step(Axis.CHILD, label))
             assert set(got) == set(probing_child_arm(g, label)), (d.rules, label)
             total += len(got)
+    assert total > 500
+
+
+def test_sibling_arms_pair_the_places_that_probing_every_place_finds():
+    rng = random.Random(3131)
+    dtds = [random_mdf_dc_dtd(rng) for _ in range(20)] + [_dense_dtd(10)]
+    total = 0
+    for d in dtds:
+        g = compile_dtd(d)
+        for axis in (Axis.FSIB, Axis.PSIB):
+            for label in d.labels + ("zz",):
+                got = eval2(g, Step(axis, label))
+                want = probing_sibling_arm(g, axis, label)
+                assert len(got) == len(want), (d.rules, axis, label)
+                assert set(got) == set(want), (d.rules, axis, label)
+                total += len(got)
     assert total > 500
 
 
