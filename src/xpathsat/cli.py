@@ -18,7 +18,7 @@ from . import content_model as cm
 from . import dtd as dtdmod
 from . import oracle as orc
 from .errors import DtdError, NotMRW, ParseError, UnsupportedFragment
-from .sat_checker import compile_dtd, satisfiable
+from .sat_checker import _traced_verdict, compile_dtd, satisfiable
 from .xpath import parse_xpath, size
 
 EXIT_YES = 0
@@ -59,7 +59,7 @@ def _yn(v: bool) -> str:
 def _cmd_sat(args) -> int:
     d = _load_dtd(args)
     p = parse_xpath(args.xpath)
-    v = satisfiable(d, p)
+    v = (_traced_verdict if args.json or args.trace else satisfiable)(d, p)
     if args.json:
         _emit_json({
             "verdict": "SAT" if v.sat else "UNSAT",

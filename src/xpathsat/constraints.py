@@ -14,14 +14,18 @@ requirements below a chain of dfs nodes can never be escaped by picking a
 different witness subtree.  Each entry therefore carries one dfs bit per key
 node; `restrict` drops exactly the entries that a fresh witness could dodge.
 
+Entries and maps are named tuples, as cheap to build, hash and compare as
+plain tuples; a map's entries are sorted by key, and `join` merges through a dict.
+
 Consistency reduces to coverability: all demanded child labels of one node
-must be producible by a single word of its content model.
+must be producible by a single word of its content model.  A `Cover`, kept per
+rule by `Dtd.covers`, remembers every label set it decided (never one that
+raised), so each set is decided once per DTD.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Optional
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional
 
 from .content_model import Concat, Disj, Epsilon, Expr, Star, Symbol, symbol_counts, symbols
 
@@ -32,18 +36,13 @@ Key = tuple[str, ...]
 DfsBits = tuple[bool, ...]
 
 
-@dataclass(frozen=True, slots=True)
-class SibEntry:
+class SibEntry(NamedTuple):
     key: Key
     values: frozenset[str]
     dfs: DfsBits  # one bit per key node
 
-    def __post_init__(self):
-        assert len(self.key) == len(self.dfs)
 
-
-@dataclass(frozen=True, slots=True)
-class SibMap:
+class SibMap(NamedTuple):
     entries: tuple[SibEntry, ...]  # sorted by key, keys unique
 
     @staticmethod
@@ -52,36 +51,36 @@ class SibMap:
 
     @staticmethod
     def of(items: Iterable[tuple[Key, Iterable[str], DfsBits]]) -> "SibMap":
-        merged: dict[Key, tuple[set[str], DfsBits]] = {}
+        m = _EMPTY
         for key, values, dfs in items:
-            if key in merged:
-                vals, bits = merged[key]
-                assert bits == tuple(dfs), f"dfs mismatch on key {key}"
-                vals.update(values)
-            else:
-                merged[key] = (set(values), tuple(dfs))
-        return SibMap(tuple(
-            SibEntry(k, frozenset(v), bits)
-            for k, (v, bits) in sorted(merged.items())
-        ))
+            assert len(key) == len(dfs)
+            m = m.join(SibMap((SibEntry(key, frozenset(values), tuple(dfs)),)))
+        return m
 
     def get(self, key: Key) -> Optional[SibEntry]:
-        for e in self.entries:
-            if e.key == key:
-                return e
-        return None
+        return next((e for e in self.entries if e.key == key), None)
 
     def join(self, other: "SibMap") -> "SibMap":
-        return SibMap.of(
-            [(e.key, e.values, e.dfs) for e in self.entries]
-            + [(e.key, e.values, e.dfs) for e in other.entries]
-        )
+        """Both maps' requirements; a key on both sides gets both value sets."""
+        if not self.entries or not other.entries:
+            return self if self.entries else other
+        merged = {e.key: e for e in self.entries}
+        for e in other.entries:
+            mine = merged.get(e.key)
+            if mine is not None:
+                assert mine.dfs == e.dfs, f"dfs mismatch on key {e.key}"
+                e = SibEntry(e.key, mine.values | e.values, e.dfs)
+            merged[e.key] = e
+        return SibMap(tuple(merged[key] for key in sorted(merged)))
 
     def shift(self, prefix: Key, prefix_dfs: DfsBits) -> "SibMap":
         """Prepend a path: reinterpret relative keys one level further out."""
+        assert len(prefix) == len(prefix_dfs)
+        if not prefix:
+            return self
         return SibMap(tuple(
-            SibEntry(prefix + e.key, e.values, prefix_dfs + e.dfs)
-            for e in self.entries
+            SibEntry(prefix + key, values, prefix_dfs + dfs)
+            for key, values, dfs in self.entries
         ))
 
     def restrict(self, current: Key) -> "SibMap":
@@ -136,14 +135,15 @@ def render_map(m: SibMap) -> str:
 # --- coverability and consistency --------------------------------------------
 
 class Cover:
-    """A model prepared for `coverable`: its occurrence counts, and the label
-    set of every sub-expression `_cov` looks into, computed once."""
+    """A model prepared for `coverable`: its occurrence counts, the label set
+    of every sub-expression `_cov` looks into, and the answers so far."""
 
-    __slots__ = ("counts", "tree")
+    __slots__ = ("counts", "tree", "memo")
 
     def __init__(self, e: Expr):
         self.counts = symbol_counts(e)
         self.tree = _annotate(e)
+        self.memo: dict[frozenset[str], bool] = {}  # label set -> coverable
 
 
 def _annotate(e: Expr) -> tuple:
@@ -163,14 +163,17 @@ def coverable(e: Expr | Cover, s: Iterable[str]) -> bool:
     in e; anything else is a caller bug and raises."""
     cover = e if isinstance(e, Cover) else Cover(e)
     need = frozenset(s)
-    for lbl in need:
-        n = cover.counts.get(lbl, 0)
-        if n != 1:
-            raise ValueError(
-                f"label {lbl!r} occurs {n} times in the model; "
-                "coverable needs exactly one occurrence"
-            )
-    return _cov(cover.tree, need)
+    known = cover.memo.get(need)
+    if known is None:
+        for lbl in need:
+            n = cover.counts.get(lbl, 0)
+            if n != 1:
+                raise ValueError(
+                    f"label {lbl!r} occurs {n} times in the model; "
+                    "coverable needs exactly one occurrence"
+                )
+        known = cover.memo[need] = _cov(cover.tree, need)
+    return known
 
 
 def _cov(node: tuple, s: frozenset[str]) -> bool:

@@ -28,7 +28,7 @@ from .content_model import (
 )
 from .dtd import Dtd
 from .errors import ParseError
-from .xpath import Axis, Path, QAnd, QOr, QPath, Qexpr, Qual, Seq, Step, Union
+from .xpath import Axis, Path, QAnd, QOr, QPath, Qexpr, Seq, Step, Union, peel
 
 Word = tuple[str, ...]
 NodePath = tuple[int, ...]  # child indices from the root; () is the root
@@ -121,10 +121,8 @@ Nodes = dict[NodePath, Ctx]
 
 
 def _compile(p: Path) -> Callable[[Nodes], Nodes]:
-    quals: list[Callable[[Ctx], bool]] = []
-    while isinstance(p, Qual):  # stacked qualifiers, peeled in a loop
-        quals.append(_compile_qual(p.qual))
-        p = p.base
+    p, stack = peel(p)
+    quals = [_compile_qual(q) for q in stack]  # innermost first, as they apply
     match p:
         case Step(axis, label):
             f = _compile_step(axis, label)
@@ -146,7 +144,6 @@ def _compile(p: Path) -> Callable[[Nodes], Nodes]:
             raise TypeError(f"not a path: {p!r}")
     if not quals:
         return f
-    quals.reverse()  # innermost first, as the stack applies them
 
     def qualified(nodes: Nodes) -> Nodes:
         return {k: c for k, c in f(nodes).items() if all(q(c) for q in quals)}

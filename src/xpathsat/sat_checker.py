@@ -24,7 +24,7 @@ UNSAT although the document r(b,r(c),r(b)) matches it."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .constraints import (
     DfsBits, Key, SibEntry, SibMap, consistent, coverable, psi,
@@ -35,7 +35,7 @@ from .errors import UnsupportedFragment
 from .schema_graph import SchemaGraph, SgNode, build_schema_graph
 from .xpath import (
     ARROW, Axis, Path, QPath, Qual, Seq, Step, Union,
-    fragment_of, normalize, parse_xpath, render_xpath,
+    fragment_of, normalize, parse_xpath, peel, render_xpath,
 )
 
 
@@ -198,8 +198,7 @@ def eval1(graph: SchemaGraph, p: Path, trace: bool = True) -> Verdict:
 
 # --- eval2 -------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
-class Eval2Tuple:
+class Eval2Tuple(NamedTuple):
     """One realizable way a subexpression can run, for every context.
 
     rel spans the labels from start (inclusive) to end (exclusive); pre and
@@ -244,34 +243,25 @@ def eval2(graph: SchemaGraph, p: Path, trace: Optional[list[str]] = None) -> tup
         case Step(Axis.CHILD, label):
             # every place v labeled `label` under every place u carrying v's
             # parent label; the virtual node has none, so it is never a v
-            out = [
-                Eval2Tuple(
-                    start=u,
-                    pre=SibMap.empty(),
-                    end=v,
-                    post=SibMap.of([(((u.label,)), psi(v), (u.is_dfs,))]),
-                    rel=(u.label,),
-                    rel_dfs=(u.is_dfs,),
-                )
-                for v in graph.places_labeled(label)
-                for u in graph.places_labeled(v.parent_label)
-            ]
+            out = []
+            for v in graph.places_labeled(label):
+                rel, need = (v.parent_label,), psi(v)
+                for u in graph.places_labeled(v.parent_label):
+                    bits = (u.is_dfs,)
+                    post = SibMap((SibEntry(rel, need, bits),))
+                    out.append(Eval2Tuple(u, SibMap.empty(), v, post, rel, bits))
         case Step(Axis.FSIB | Axis.PSIB as axis, label):
             # every place v labeled `label` beside every place u under v's
             # parent label; the virtual node has no parent, so no siblings
-            out = [
-                Eval2Tuple(
-                    start=u,
-                    pre=SibMap.of([((), psi(u), ())]),
-                    end=v,
-                    post=SibMap.of([((), psi(u) | psi(v), ())]),
-                    rel=(),
-                    rel_dfs=(),
-                )
-                for v in graph.places_labeled(label)
-                for u in graph.children(v.parent_label)
-                if _admissible(u, v, axis)
-            ]
+            out = []
+            for v in graph.places_labeled(label):
+                need = psi(v)
+                for u in graph.children(v.parent_label):
+                    if _admissible(u, v, axis):
+                        mine = psi(u)
+                        pre = SibMap((SibEntry((), mine, ()),))
+                        post = SibMap((SibEntry((), mine | need, ()),))
+                        out.append(Eval2Tuple(u, pre, v, post, (), ()))
         case Step(axis, _):
             raise UnsupportedFragment(f"axis {axis.value} is outside eval2")
         case Seq(steps):
@@ -285,18 +275,23 @@ def eval2(graph: SchemaGraph, p: Path, trace: Optional[list[str]] = None) -> tup
                 ]
                 if i < len(steps) - 1:
                     t1s = _settled(out, Seq(steps[:i + 1]), trace)
-        case Qual(base, QPath(qpath)):
+        case Qual():
+            # stacked qualifiers apply innermost first; each stacked prefix is settled
+            base, quals = peel(p)
             t1s = eval2(graph, base, trace)
-            t2s = eval2(graph, qpath, trace)
-            # past the qualifier, only requirements pinned through the anchor
-            # path stay binding
-            out = [
-                Eval2Tuple(t1.start, t1.pre, t1.end,
-                           post.restrict(t1.rel + (t1.end.label,)), t1.rel, t1.rel_dfs)
-                for t1, _, post in _joined(t1s, t2s, d)
-            ]
-        case Qual(_, _):
-            raise UnsupportedFragment("qualifier disjunction is outside eval2")
+            for i, q in enumerate(quals):
+                if not isinstance(q, QPath):
+                    raise UnsupportedFragment("qualifier disjunction is outside eval2")
+                # past the qualifier, only requirements pinned through the
+                # anchor path stay binding
+                out = [
+                    Eval2Tuple(t1.start, t1.pre, t1.end,
+                               post.restrict(t1.rel + (t1.end.label,)), t1.rel, t1.rel_dfs)
+                    for t1, _, post in _joined(t1s, eval2(graph, q.path, trace), d)
+                ]
+                if i < len(quals) - 1:
+                    base = Qual(base, q)
+                    t1s = _settled(out, base, trace)
         case Union(_, _):
             raise UnsupportedFragment("union is outside eval2")
         case _:
@@ -320,10 +315,16 @@ def _joined(t1s: tuple[Eval2Tuple, ...], t2s: tuple[Eval2Tuple, ...], d: Dtd):
     by_start: dict[int, list[Eval2Tuple]] = {}
     for t2 in t2s:
         by_start.setdefault(t2.start.index, []).append(t2)
+    # many pairs share their maps and shift: join and check each kind once
+    posts: dict[tuple, Optional[SibMap]] = {}
     for t1 in t1s:
         for t2 in by_start.get(t1.end.index, ()):
-            post = t1.post.join(t2.post.shift(t1.rel, t1.rel_dfs))
-            if consistent(post, d):
+            key = (t1.post, t2.post, t1.rel, t1.rel_dfs)
+            post = posts.get(key, False)
+            if post is False:
+                post = t1.post.join(t2.post.shift(t1.rel, t1.rel_dfs))
+                post = posts[key] = post if consistent(post, d) else None
+            if post is not None:
                 yield t1, t2, post
 
 
@@ -358,6 +359,19 @@ def _traced_eval2(graph: SchemaGraph, p: Path) -> Verdict:
     return Verdict(False, "eval2", None, reason, tuple(trace))
 
 
+def _routed(d: Dtd, query: Path | str) -> tuple[SchemaGraph, Path, str]:
+    """d's graph, the normalized query, and the decider that fits it."""
+    p = parse_xpath(query) if isinstance(query, str) else query
+    graph, p = compile_dtd(d), normalize(p)
+    frag = fragment_of(p)
+    if frag == "full":
+        raise UnsupportedFragment(
+            "query needs recursive axes, union, or qualifier disjunction; "
+            "only the bounded oracle covers those"
+        )
+    return graph, p, frag
+
+
 def satisfiable(d: Dtd, query: Path | str) -> Verdict:
     """Decide whether any document conforming to d matches the query from its
     root.  Raises NotMRW/DtdError for out-of-class DTDs and
@@ -366,16 +380,14 @@ def satisfiable(d: Dtd, query: Path | str) -> Verdict:
     The verdict is decided untraced and holds the graph and normalized query;
     the first read of its trace, final_state or reason renders all three by
     one traced re-run."""
-    p = parse_xpath(query) if isinstance(query, str) else query
-    graph = compile_dtd(d)
-    p = normalize(p)
-    frag = fragment_of(p)
+    graph, p, frag = _routed(d, query)
     if frag == "eval1":
         v = eval1(graph, p, trace=False)
         return _deferred((graph, p), v.sat, "eval1", v.levels, v.beta)
-    if frag == "eval2":
-        return _deferred((graph, p), any(_accepting(t, graph) for t in eval2(graph, p)), "eval2")
-    raise UnsupportedFragment(
-        "query needs recursive axes, union, or qualifier disjunction; "
-        "only the bounded oracle covers those"
-    )
+    return _deferred((graph, p), any(_accepting(t, graph) for t in eval2(graph, p)), "eval2")
+
+
+def _traced_verdict(d: Dtd, query: Path | str) -> Verdict:
+    """`satisfiable`'s verdict by one traced run, for a caller that reads the trace."""
+    graph, p, frag = _routed(d, query)
+    return (eval1 if frag == "eval1" else _traced_eval2)(graph, p)

@@ -100,6 +100,9 @@ class SgNode:
     def __str__(self) -> str:
         return self.name
 
+    def __hash__(self) -> int:
+        return self.index  # a graph's places have distinct indices
+
 
 class SchemaGraph:
     def __init__(self, d: Dtd):

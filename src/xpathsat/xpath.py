@@ -21,6 +21,7 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass
+from functools import reduce
 
 from .errors import ParseError
 
@@ -228,8 +229,10 @@ def _render(p: Path, prec: int, arrows: bool) -> str:
         case Union(left, right):
             s = f"{_render(left, _PREC_UNION, arrows)}|u|{_render(right, _PREC_SEQ, arrows)}"
             return f"({s})" if prec > _PREC_UNION else s
-        case Qual(base, qual):
-            return f"{_render(base, _PREC_STEP, arrows)}[{_render_q(qual, arrows)}]"
+        case Qual():
+            base, quals = peel(p)
+            qs = "".join(f"[{_render_q(q, arrows)}]" for q in quals)
+            return _render(base, _PREC_STEP, arrows) + qs
     raise TypeError(f"not a path: {p!r}")
 
 
@@ -245,6 +248,15 @@ def _render_q(q: Qexpr, arrows: bool) -> str:
 
 
 # --- shape queries -----------------------------------------------------------
+
+def peel(p: Path) -> tuple[Path, list[Qexpr]]:
+    """A qualifier stack's innermost base and its qualifiers, innermost first."""
+    quals = []
+    while isinstance(p, Qual):
+        quals.append(p.qual)
+        p = p.base
+    return p, quals[::-1]
+
 
 def size(p: Path | Qexpr) -> int:
     """Number of atomic steps, qualifiers included."""
@@ -273,10 +285,11 @@ def _collect(p: Path | Qexpr, axes: set[Axis], flags: dict[str, bool]) -> None:
             flags["union"] = True
             _collect(left, axes, flags)
             _collect(right, axes, flags)
-        case Qual(base, qual):
+        case Qual():
             flags["qualifier"] = True
-            _collect(base, axes, flags)
-            _collect(qual, axes, flags)
+            base, quals = peel(p)
+            for x in (base, *quals):
+                _collect(x, axes, flags)
         case QPath(path):
             _collect(path, axes, flags)
         case QAnd(left, right):
@@ -316,8 +329,9 @@ def normalize(p: Path) -> Path:
             return Seq(tuple(normalize(x) for x in steps))
         case Union(left, right):
             return Union(normalize(left), normalize(right))
-        case Qual(base, qual):
-            return _apply_quals(normalize(base), qual)
+        case Qual():
+            base, quals = peel(p)
+            return reduce(_apply_quals, quals, normalize(base))
     raise TypeError(f"not a path: {p!r}")
 
 

@@ -154,6 +154,12 @@ def random_mdf_dc_dtd(rng, labels=("r", "a", "b", "c"), max_factors=3) -> Dtd:
     return d
 
 
+def dense_dtd(n: int) -> Dtd:
+    """Root r and labels x0..x(n-1), every content model (x0|...|x(n-1))*."""
+    body = Star(disj_of([Symbol(f"x{i}") for i in range(n)]))
+    return Dtd("r", {"r": body, **{f"x{i}": body for i in range(n)}})
+
+
 def tree_count(d: Dtd, rep: int) -> int:
     """Number of conforming trees within the repetition bound, assuming the
     depth bound is slack (true for the recursion-free DTDs above)."""

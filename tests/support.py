@@ -9,15 +9,17 @@
 * Earlier forms of package code that a faster form replaced, kept as
   references: the character-by-character query lexer, the eval2 child and
   sibling arms that probe every place, the eagerly traced eval2 verdict,
-  and the oracle's per-tree query interpreter with the search over it.
+  the oracle's per-tree query interpreter with the search over it, and the
+  requirement-map algebra built on a checking dataclass entry.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
+from dataclasses import dataclass
 from itertools import product
 
-from xpathsat.constraints import DfsBits, Key, SibEntry, SibMap, psi
+from xpathsat.constraints import DfsBits, Key, SibEntry, SibMap, coverable, psi
 from xpathsat.content_model import Expr, Nfa, symbol_counts
 from xpathsat.dtd import Dtd
 from xpathsat.errors import ParseError
@@ -408,3 +410,51 @@ def reference_search(d: Dtd, p: Path, depth: int, rep: int) -> DocTree | None:
         if reference_eval(t, p):
             return t
     return None
+
+
+# --- the requirement-map algebra before named-tuple entries ------------------
+
+@dataclass(frozen=True, slots=True)
+class ReferenceEntry:
+    """`SibEntry` as it was: a frozen dataclass that checks its dfs bits."""
+
+    key: Key
+    values: frozenset[str]
+    dfs: DfsBits
+
+    def __post_init__(self):
+        assert len(self.key) == len(self.dfs)
+
+
+def reference_of(items: Iterable[tuple[Key, Iterable[str], DfsBits]]) -> SibMap:
+    """`SibMap.of` as it was: value sets merged per key, every entry rebuilt."""
+    merged: dict[Key, tuple[set[str], DfsBits]] = {}
+    for key, values, dfs in items:
+        if key in merged:
+            vals, bits = merged[key]
+            assert bits == tuple(dfs), f"dfs mismatch on key {key}"
+            vals.update(values)
+        else:
+            merged[key] = (set(values), tuple(dfs))
+    return SibMap(tuple(
+        ReferenceEntry(k, frozenset(v), bits) for k, (v, bits) in sorted(merged.items())
+    ))
+
+
+def reference_join(a: SibMap, b: SibMap) -> SibMap:
+    """`SibMap.join` as it was: both sides' entries rebuilt by `reference_of`."""
+    return reference_of([(e.key, e.values, e.dfs) for e in a.entries + b.entries])
+
+
+def reference_shift(m: SibMap, prefix: Key, prefix_dfs: DfsBits) -> SibMap:
+    """`SibMap.shift` as it was: every entry rebuilt, an empty prefix too."""
+    return SibMap(tuple(
+        ReferenceEntry(prefix + e.key, e.values, prefix_dfs + e.dfs) for e in m.entries
+    ))
+
+
+def reference_consistent(m: SibMap, d: Dtd) -> bool:
+    """`consistent` with every label set decided afresh, nothing remembered."""
+    return all(
+        coverable(d.model(e.key[-1]), e.values) for e in m.entries if e.key
+    )

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import inspect
 import io
 import json
 import os
@@ -13,6 +14,7 @@ import sys
 
 import pytest
 
+from xpathsat import sat_checker
 from xpathsat.cli import main
 
 WORKED = "root r\nr := r*(a*b|c)r*\na := eps\nb := a\nc := eps\n"
@@ -150,6 +152,37 @@ def test_sat_trace_eval2(worked_file):
     )
 
 
+def test_sat_decides_once(worked_file, monkeypatch):
+    # --trace and --json print the trace, so its traced run is the only run;
+    # a plain verdict comes from one untraced run
+    calls = []
+
+    def counting(name):
+        real = getattr(sat_checker, name)
+        sig = inspect.signature(real)
+
+        def counted(*args, **kwargs):
+            bound = sig.bind(*args, **kwargs)
+            bound.apply_defaults()
+            calls.append((name, bound.arguments["trace"]))
+            return real(*args, **kwargs)
+
+        return counted
+
+    for name in ("eval1", "eval2"):
+        monkeypatch.setattr(sat_checker, name, counting(name))
+    for flags in ([], ["--trace"], ["--json"]):
+        calls.clear()
+        assert run(["sat", "--dtd", worked_file, "--xpath", SAT_Q] + flags)[0] == 0
+        assert calls == [("eval1", bool(flags))]
+        calls.clear()
+        assert run(["sat", "--dtd", worked_file, "--xpath", "↓::r/→⁺::b[↓::a]"] + flags)[0] == 0
+        # eval2 calls itself once per subexpression; one run shares one trace
+        assert len(calls) == 5 and {name for name, _ in calls} == {"eval2"}
+        assert len({id(trace) for _, trace in calls}) == 1
+        assert (calls[0][1] is not None) == bool(flags)
+
+
 def test_sat_rejects_non_mrw(bad_file):
     code, out, err = run(["sat", "--dtd", bad_file, "--xpath", "↓::a"])
     assert (code, out) == (3, "")
@@ -224,6 +257,14 @@ def test_oracle_stacked_qualifiers(worked_file):
     want = (0, "SAT r(c,r(c))\n", "")
     assert run(argv + ["↓::r[↓::c]"]) == want
     assert run(argv + ["↓::r" + "[↓::c]" * 1500]) == want
+
+
+def test_sat_stacked_qualifiers(worked_file):
+    # the sat path peels 1,500 stacked qualifiers in a loop as well
+    argv = ["sat", "--dtd", worked_file, "--xpath"]
+    assert run(argv + ["↓::r[↓::c]"]) == (0, "SAT\n", "")
+    assert run(argv + ["↓::r" + "[↓::c]" * 1500]) == (0, "SAT\n", "")
+    assert run(argv + ["↓::r" + "[↓::c]" * 1500 + "[↓::b]"]) == (1, "UNSAT\n", "")
 
 
 def test_oracle_readme_quick_start(worked_file):

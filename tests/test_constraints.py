@@ -9,6 +9,7 @@ import pytest
 from xpathsat import build_schema_graph, delta_dtd, parse_content_model, parse_dtd
 from xpathsat.content_model import symbol_counts
 from xpathsat.constraints import (
+    Cover,
     SibMap,
     consistent,
     coverable,
@@ -19,8 +20,13 @@ from xpathsat.constraints import (
     render_map,
 )
 
-from gens import random_mdf_dc_dtd, random_sibmap
-from support import enumerate_words
+from xpathsat.sat_checker import _row, compile_dtd, eval2
+from xpathsat.xpath import normalize
+
+from gens import dense_dtd, random_eval2_query, random_mdf_dc_dtd, random_sibmap
+from support import (
+    ReferenceEntry, enumerate_words, reference_consistent, reference_join, reference_shift,
+)
 
 WORKED = "root r\nr := r*(a*b|c)r*\na := eps\nb := a\nc := eps\n"
 
@@ -326,3 +332,53 @@ def test_all_values_empty():
     assert SibMap.empty().all_values_empty()
     assert SibMap.of([(("r",), set(), (True,))]).all_values_empty()
     assert not SibMap.of([(("r",), {"b"}, (True,))]).all_values_empty()
+
+
+# ------------------------------------------------- against the former algebra
+
+
+def _triples(m: SibMap) -> list:
+    return [(e.key, e.values, e.dfs) for e in m.entries]
+
+
+def test_map_algebra_matches_its_dataclass_reference(monkeypatch):
+    # named-tuple entries, the dict-merging join and memoized coverability
+    # give what the checking dataclass entries and the rebuilding join gave
+    rng = random.Random(2008)
+    dtds = [random_mdf_dc_dtd(rng) for _ in range(15)] + [dense_dtd(4), dense_dtd(6)]
+    queries, shared = [], 0
+    for d in dtds:
+        g = compile_dtd(d)
+        for _ in range(12):
+            a, b = random_sibmap(rng, g.dtd, g), random_sibmap(rng, g.dtd, g)
+            if rng.random() < 0.2:
+                a = SibMap.empty()
+            joined = a.join(b)
+            shared += len(joined.entries) < len(a.entries) + len(b.entries)
+            assert _triples(joined) == _triples(reference_join(a, b))
+            assert render_map(joined) == render_map(reference_join(a, b))
+            prefix, bits = rng.choice([((), ()), (("q",), (False,)), (("q", "r"), (True, False))])
+            assert _triples(b.shift(prefix, bits)) == _triples(reference_shift(b, prefix, bits))
+            cur = rng.choice(joined.entries).key if joined.entries else ()
+            assert _triples(joined.restrict(cur)) == _triples(reference_join(a, b).restrict(cur))
+            for _ in range(2):  # the second call answers from the memo
+                assert consistent(joined, g.dtd) == reference_consistent(joined, g.dtd)
+        queries += [(g, normalize(random_eval2_query(rng, d, budget=4))) for _ in range(4)]
+    fast = [sorted(map(_row, eval2(g, p))) for g, p in queries]
+    monkeypatch.setattr(SibMap, "join", reference_join)
+    monkeypatch.setattr(SibMap, "shift", reference_shift)
+    monkeypatch.setattr("xpathsat.sat_checker.consistent", reference_consistent)
+    slow = [eval2(g, p) for g, p in queries]
+    assert fast == [sorted(map(_row, ts)) for ts in slow]
+    assert sum(map(len, fast)) > 150 and shared > 50
+    assert any(isinstance(e, ReferenceEntry) for ts in slow for t in ts for e in t.post.entries)
+
+
+def test_coverable_never_remembers_a_failure():
+    cover = Cover(parse_content_model("a*a*b", {"a", "b"}))
+    assert coverable(cover, {"b"})
+    for _ in range(3):
+        with pytest.raises(ValueError, match="occurs 2 times"):
+            coverable(cover, {"a"})
+    assert frozenset({"a"}) not in cover.memo and cover.memo == {frozenset({"b"}): True}
+

@@ -23,13 +23,13 @@ from xpathsat import (
     size,
 )
 from xpathsat.constraints import SibMap, consistent, render_map
-from xpathsat.content_model import Star, Symbol, disj_of
 from xpathsat import sat_checker
 from xpathsat.oracle import oracle_satisfiable, parse_tree, render_tree, satisfies
 from xpathsat.sat_checker import Eval2Tuple, compile_dtd, eval1, eval2, render_tuple_set
-from xpathsat.xpath import Axis, Qual, Seq, Step, normalize
+from xpathsat.xpath import Axis, Qual, Seq, Step, normalize, peel
 
 from gens import (
+    dense_dtd,
     random_eval1_query,
     random_eval2_query,
     random_mdf_dc_dtd,
@@ -329,6 +329,23 @@ def test_long_queries_need_no_recursion():
         sys.setrecursionlimit(limit)
 
 
+def test_stacked_qualifiers_need_no_recursion():
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # the interpreter's default
+    try:
+        text = "↓::r" + "[↓::c and ↓::r]" * 1_000
+        p = normalize(parse_xpath(text))
+        base, quals = peel(p)
+        assert base == Step(Axis.CHILD, "r") and len(quals) == 2_000
+        assert [render_xpath(q.path, arrows=True) for q in quals[:3]] == ["↓::c", "↓::r", "↓::c"]
+        assert fragment_of(p) == "eval2"
+        assert render_xpath(p, arrows=True) == "↓::r" + "[↓::c][↓::r]" * 1_000
+        assert satisfiable(parse_dtd(WORKED), p).sat
+        assert not satisfiable(parse_dtd(WORKED), text + "[↓::b]").sat
+    finally:
+        sys.setrecursionlimit(limit)
+
+
 def _entailed_by(small: SibMap, big: SibMap) -> bool:
     return all(
         (found := big.get(e.key)) is not None and e.values <= found.values
@@ -506,11 +523,6 @@ def test_failed_compile_raises_on_every_call(monkeypatch):
     assert counts["validate_no_useless"] == 6
 
 
-def _dense_dtd(n: int) -> Dtd:
-    body = Star(disj_of([Symbol(f"x{i}") for i in range(n)]))
-    return Dtd("r", {"r": body, **{f"x{i}": body for i in range(n)}})
-
-
 def test_reused_dtd_answers_like_a_fresh_one():
     rng = random.Random(1550)
     cases = []
@@ -518,7 +530,7 @@ def test_reused_dtd_answers_like_a_fresh_one():
         d = random_mdf_dc_dtd(rng)
         cases += [(d, random_eval1_query(rng, d)) for _ in range(4)]
         cases += [(d, random_eval2_query(rng, d)) for _ in range(4)]
-    dense = _dense_dtd(10)
+    dense = dense_dtd(10)
     cases += [(dense, random_eval2_query(rng, dense, budget=3)) for _ in range(12)]
     for d, _ in cases:
         compile_dtd(d)
@@ -563,7 +575,7 @@ def test_eval2_joins_match_their_definition_on_a_dense_dtd():
     # 111 places, so a join that matched places by anything but identity
     # would pair tuples that do not meet
     rng = random.Random(4242)
-    d = _dense_dtd(10)
+    d = dense_dtd(10)
     g = compile_dtd(d)
     kinds = set()
     for _ in range(8):
@@ -576,7 +588,7 @@ def test_eval2_joins_match_their_definition_on_a_dense_dtd():
 
 def test_child_arm_pairs_the_places_that_probing_every_place_finds():
     rng = random.Random(3131)
-    dtds = [random_mdf_dc_dtd(rng) for _ in range(20)] + [_dense_dtd(10)]
+    dtds = [random_mdf_dc_dtd(rng) for _ in range(20)] + [dense_dtd(10)]
     total = 0
     for d in dtds:
         g = compile_dtd(d)
@@ -589,7 +601,7 @@ def test_child_arm_pairs_the_places_that_probing_every_place_finds():
 
 def test_sibling_arms_pair_the_places_that_probing_every_place_finds():
     rng = random.Random(3131)
-    dtds = [random_mdf_dc_dtd(rng) for _ in range(20)] + [_dense_dtd(10)]
+    dtds = [random_mdf_dc_dtd(rng) for _ in range(20)] + [dense_dtd(10)]
     total = 0
     for d in dtds:
         g = compile_dtd(d)
