@@ -10,7 +10,11 @@ Two complete procedures, each polynomial on its fragment:
 * `eval2` handles child and sibling steps with nested qualifiers (after
   conjunctions are split).  It computes, per subexpression, the set of
   (start place, end place) pairs annotated with requirement maps keyed
-  relative to the start.
+  relative to the start.  Given a set of start places, it builds only the
+  pairs that start there, running each later part of the query from the
+  places the earlier parts end at.  `satisfiable` decides from the virtual
+  root place alone; a traced run, and a call without start places, still
+  covers every context.
 
 Both report UNSAT exactly when every candidate run dies, either by running
 out of admissible places or by demanding children no single content-model
@@ -24,7 +28,7 @@ UNSAT although the document r(b,r(c),r(b)) matches it."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import AbstractSet, NamedTuple, Optional
 
 from .constraints import (
     DfsBits, Key, SibEntry, SibMap, consistent, coverable, psi,
@@ -232,31 +236,37 @@ def render_tuple_set(tuples: tuple[Eval2Tuple, ...]) -> str:
     return "{" + ", ".join(text for _, text in sorted(map(_row, tuples))) + "}"
 
 
-def eval2(graph: SchemaGraph, p: Path, trace: Optional[list[str]] = None) -> tuple[Eval2Tuple, ...]:
+def eval2(
+    graph: SchemaGraph, p: Path, trace: Optional[list[str]] = None,
+    starts: Optional[AbstractSet[SgNode]] = None,
+) -> tuple[Eval2Tuple, ...]:
     """Tuple set of a normalized query (child/sibling steps, stacked
     qualifiers), without duplicates and in no particular order.  Appends one
     line per subexpression and per proper prefix of a sequence to `trace`,
-    the set as `render_tuple_set` orders it."""
+    the set as `render_tuple_set` orders it.
+
+    Without `starts` the set covers every context: one tuple per way the
+    query can run from each place.  With `starts`, it is exactly the tuples
+    of that full set whose start is in `starts`, and no other tuple is
+    built: each part of a sequence after the first runs only from the end
+    places of the tuples to its left, and a qualifier's path only from the
+    end places of its base."""
     d = graph.dtd
     out: list[Eval2Tuple]
     match p:
         case Step(Axis.CHILD, label):
-            # every place v labeled `label` under every place u carrying v's
-            # parent label; the virtual node has none, so it is never a v
             out = []
-            for v in graph.places_labeled(label):
+            for us, v in _reach(graph, p, starts):
                 rel, need = (v.parent_label,), psi(v)
-                for u in graph.places_labeled(v.parent_label):
+                for u in us:
                     bits = (u.is_dfs,)
                     post = SibMap((SibEntry(rel, need, bits),))
                     out.append(Eval2Tuple(u, SibMap.empty(), v, post, rel, bits))
         case Step(Axis.FSIB | Axis.PSIB as axis, label):
-            # every place v labeled `label` beside every place u under v's
-            # parent label; the virtual node has no parent, so no siblings
             out = []
-            for v in graph.places_labeled(label):
+            for us, v in _reach(graph, p, starts):
                 need = psi(v)
-                for u in graph.children(v.parent_label):
+                for u in us:
                     if _admissible(u, v, axis):
                         mine = psi(u)
                         pre = SibMap((SibEntry((), mine, ()),))
@@ -266,28 +276,30 @@ def eval2(graph: SchemaGraph, p: Path, trace: Optional[list[str]] = None) -> tup
             raise UnsupportedFragment(f"axis {axis.value} is outside eval2")
         case Seq(steps):
             # a left fold that settles and traces each proper prefix
-            t1s = eval2(graph, steps[0], trace)
+            t1s = eval2(graph, steps[0], trace, starts)
             for i in range(1, len(steps)):
+                t2s = eval2(graph, steps[i], trace, _ends(t1s, starts))
                 out = [
                     Eval2Tuple(t1.start, t1.pre, t2.end, post,
                                t1.rel + t2.rel, t1.rel_dfs + t2.rel_dfs)
-                    for t1, t2, post in _joined(t1s, eval2(graph, steps[i], trace), d)
+                    for t1, t2, post in _joined(t1s, t2s, d)
                 ]
                 if i < len(steps) - 1:
                     t1s = _settled(out, Seq(steps[:i + 1]), trace)
         case Qual():
             # stacked qualifiers apply innermost first; each stacked prefix is settled
             base, quals = peel(p)
-            t1s = eval2(graph, base, trace)
+            t1s = eval2(graph, base, trace, starts)
             for i, q in enumerate(quals):
                 if not isinstance(q, QPath):
                     raise UnsupportedFragment("qualifier disjunction is outside eval2")
+                t2s = eval2(graph, q.path, trace, _ends(t1s, starts))
                 # past the qualifier, only requirements pinned through the
                 # anchor path stay binding
                 out = [
                     Eval2Tuple(t1.start, t1.pre, t1.end,
                                post.restrict(t1.rel + (t1.end.label,)), t1.rel, t1.rel_dfs)
-                    for t1, _, post in _joined(t1s, eval2(graph, q.path, trace), d)
+                    for t1, _, post in _joined(t1s, t2s, d)
                 ]
                 if i < len(quals) - 1:
                     base = Qual(base, q)
@@ -297,6 +309,27 @@ def eval2(graph: SchemaGraph, p: Path, trace: Optional[list[str]] = None) -> tup
         case _:
             raise TypeError(f"not a path: {p!r}")
     return _settled(out, p, trace)
+
+
+def _reach(graph: SchemaGraph, step: Step, starts: Optional[AbstractSet[SgNode]]):
+    """(us, v) for the places v labeled step.label, each with the places u
+    that v sits under (a child step) or beside (a sibling step, admissible
+    or not): all of them, or only those in starts.  The virtual node has no
+    parent, so it is never a v and has no siblings."""
+    child = step.axis is Axis.CHILD
+    if starts is None:
+        for v in graph.places_labeled(step.label):
+            yield (graph.places_labeled if child else graph.children)(v.parent_label), v
+        return
+    for u in starts:
+        for v in graph.children_with_label(u.label if child else u.parent_label, step.label):
+            yield (u,), v
+
+
+def _ends(ts: tuple[Eval2Tuple, ...], starts: Optional[AbstractSet[SgNode]]):
+    """Where the next part of a restricted run starts: the end places of ts.
+    An unrestricted run stays unrestricted, so it still covers every context."""
+    return None if starts is None else {t.end for t in ts}
 
 
 def _settled(out: list[Eval2Tuple], p: Path, trace: Optional[list[str]]) -> tuple[Eval2Tuple, ...]:
@@ -377,14 +410,16 @@ def satisfiable(d: Dtd, query: Path | str) -> Verdict:
     root.  Raises NotMRW/DtdError for out-of-class DTDs and
     UnsupportedFragment for queries outside both procedures.
 
-    The verdict is decided untraced and holds the graph and normalized query;
+    The verdict is decided untraced, eval2 building only the tuples that
+    start at the virtual root place, and holds the graph and normalized query;
     the first read of its trace, final_state or reason renders all three by
     one traced re-run."""
     graph, p, frag = _routed(d, query)
     if frag == "eval1":
         v = eval1(graph, p, trace=False)
         return _deferred((graph, p), v.sat, "eval1", v.levels, v.beta)
-    return _deferred((graph, p), any(_accepting(t, graph) for t in eval2(graph, p)), "eval2")
+    roots = eval2(graph, p, starts={graph.sentinel})
+    return _deferred((graph, p), any(_accepting(t, graph) for t in roots), "eval2")
 
 
 def _traced_verdict(d: Dtd, query: Path | str) -> Verdict:

@@ -99,7 +99,7 @@ def random_mrw_model(rng) -> Expr:
     return e
 
 
-# --- recursion-free mdf_dc DTDs ----------------------------------------------
+# --- mdf_dc DTDs ---------------------------------------------------------------
 
 def _mdf_dc_model(rng, pool, max_factors) -> Expr:
     if not pool:
@@ -152,6 +152,25 @@ def random_mdf_dc_dtd(rng, labels=("r", "a", "b", "c"), max_factors=3) -> Dtd:
     validate_no_useless(d)
     assert classify_dtd(d)["mdf_dc"]
     return d
+
+
+def random_recursive_mdf_dc_dtd(rng, labels=("r", "a", "b", "c")) -> Dtd:
+    """A random_mdf_dc_dtd with back edges: models gain a starred factor over
+    labels they do not mention yet, drawn from the label itself and those
+    before it, so trees can nest without bound.  At least one back edge."""
+    while True:
+        d = random_mdf_dc_dtd(rng, labels)
+        rules = dict(d.rules)
+        for i, lbl in enumerate(labels):
+            fresh = [x for x in labels[:i + 1] if x not in symbol_counts(rules[lbl])]
+            if fresh and rng.random() < 0.6:
+                pick = rng.sample(fresh, rng.randint(1, min(2, len(fresh))))
+                rules[lbl] = concat_of([rules[lbl], Star(disj_of([Symbol(x) for x in pick]))])
+        if rules != d.rules:
+            d = Dtd(labels[0], rules)
+            validate_no_useless(d)
+            assert classify_dtd(d)["mdf_dc"]
+            return d
 
 
 def dense_dtd(n: int) -> Dtd:

@@ -33,6 +33,7 @@ from gens import (
     random_eval1_query,
     random_eval2_query,
     random_mdf_dc_dtd,
+    random_recursive_mdf_dc_dtd,
     tree_count,
 )
 from support import eager_eval2_verdict, probing_child_arm, probing_sibling_arm
@@ -613,6 +614,111 @@ def test_sibling_arms_pair_the_places_that_probing_every_place_finds():
                 assert set(got) == set(want), (d.rules, axis, label)
                 total += len(got)
     assert total > 500
+
+
+# ------------------------------------------------------ eval2 from chosen starts
+
+
+def _settling(graph, p, starts, full):
+    """The (subexpression, tuple set) pairs that eval2 settles on its way to
+    p from `starts`, in eval2's order, by definition: each set is the full
+    one filtered to the places the run reaches there.  A sequence's later
+    parts start where the prefix to their left ends, and a qualifier's path
+    where its base ends.  `full` maps a subexpression to its full set."""
+    sets = []
+
+    def filtered(q, s):
+        result = {t for t in full(q) if t.start in s}
+        sets.append((q, result))
+        return result
+
+    def walk(q, s):
+        if isinstance(q, Seq):
+            left = walk(q.steps[0], s)
+            for i in range(1, len(q.steps)):
+                walk(q.steps[i], {t.end for t in left})
+                if i < len(q.steps) - 1:
+                    left = filtered(Seq(q.steps[:i + 1]), s)
+        elif isinstance(q, Qual):
+            base, quals = peel(q)
+            left = walk(base, s)
+            for i, qual in enumerate(quals):
+                walk(qual.path, {t.end for t in left})
+                if i < len(quals) - 1:
+                    base = Qual(base, qual)
+                    left = filtered(base, s)
+        return filtered(q, s)
+
+    walk(p, starts)
+    return sets
+
+
+def _restriction_cases():
+    rng = random.Random(2024)
+    dtds = [random_mdf_dc_dtd(rng) for _ in range(12)]
+    dtds += [random_recursive_mdf_dc_dtd(rng) for _ in range(12)]
+    dtds += [parse_dtd(WORKED), parse_dtd(SHARED_KEY_DTD), dense_dtd(6)]
+    for d in dtds:
+        for _ in range(5):
+            yield d, normalize(random_eval2_query(rng, d, budget=rng.randint(2, 6))), rng
+
+
+def test_eval2_from_starts_is_the_full_set_filtered_to_them(monkeypatch):
+    settled = []
+
+    def recorded(out, p, trace):
+        result = real(out, p, trace)
+        settled.append((p, set(result)))
+        return result
+
+    real = sat_checker._settled
+    monkeypatch.setattr(sat_checker, "_settled", recorded)
+    checked = nonempty = 0
+    for d, p, rng in _restriction_cases():
+        g = compile_dtd(d)
+        memo = {}
+
+        def full(q):
+            if q not in memo:
+                memo[q] = set(eval2(g, q))
+            return memo[q]
+
+        for starts in ({g.sentinel}, set(rng.sample(g.nodes, rng.randint(1, len(g.nodes))))):
+            want = _settling(g, p, starts, full)
+            settled.clear()
+            got = eval2(g, p, starts=starts)
+            # every set it built, not only the last, holds no other tuple
+            assert settled == want, (d.rules, render_xpath(p), starts)
+            assert set(got) == want[-1][1]
+            for q in {q for q, _ in want}:
+                assert set(eval2(g, q, starts=starts)) == {
+                    t for t in full(q) if t.start in starts}, (d.rules, render_xpath(q))
+                checked += 1
+            nonempty += bool(got)
+    assert checked > 1000 and nonempty > 30
+
+
+def test_the_untraced_decision_builds_only_what_the_root_reaches(monkeypatch):
+    # 381 places; every full set here has 380 or 381 tuples
+    built = []
+
+    def counted(out, p, trace):
+        built.append(len(out))
+        return real(out, p, trace)
+
+    real = sat_checker._settled
+    monkeypatch.setattr(sat_checker, "_settled", counted)
+    d = dense_dtd(19)
+    g = compile_dtd(d)
+    q = "↓::x1/↓::x2/↓::x3[→⁺::x1]"
+    v = satisfiable(d, q)
+    assert v.sat and len(built) == 7
+    assert max(built) <= 2 and sum(built) < len(g.nodes) // 10
+    built.clear()
+    eager = eager_eval2_verdict(g, normalize(parse_xpath(q)))
+    assert v.trace == eager.trace and v.final_state == eager.final_state
+    # the traced re-run and the eager run each list every context
+    assert len(built) == 14 and min(built) >= len(g.nodes) - 1
 
 
 # ------------------------------------------------------- traces on first read
