@@ -250,27 +250,26 @@ def eval2(
     of that full set whose start is in `starts`, and no other tuple is
     built: each part of a sequence after the first runs only from the end
     places of the tuples to its left, and a qualifier's path only from the
-    end places of its base."""
+    end places of its base.  A trace taken with `starts` lists these
+    restricted sets, so it covers only the contexts the run reaches."""
     d = graph.dtd
     out: list[Eval2Tuple]
     match p:
         case Step(Axis.CHILD, label):
             out = []
-            for us, v in _reach(graph, p, starts):
-                rel, need = (v.parent_label,), psi(v)
-                for u in us:
-                    bits = (u.is_dfs,)
-                    post = SibMap((SibEntry(rel, need, bits),))
+            for u in _froms(graph, p, starts):
+                rel, bits = (u.label,), (u.is_dfs,)
+                for v in graph.children_with_label(u.label, label):
+                    post = SibMap((SibEntry(rel, psi(v), bits),))
                     out.append(Eval2Tuple(u, SibMap.empty(), v, post, rel, bits))
         case Step(Axis.FSIB | Axis.PSIB as axis, label):
             out = []
-            for us, v in _reach(graph, p, starts):
-                need = psi(v)
-                for u in us:
+            for u in _froms(graph, p, starts):
+                for v in graph.children_with_label(u.parent_label, label):
                     if _admissible(u, v, axis):
                         mine = psi(u)
                         pre = SibMap((SibEntry((), mine, ()),))
-                        post = SibMap((SibEntry((), mine | need, ()),))
+                        post = SibMap((SibEntry((), mine | psi(v), ()),))
                         out.append(Eval2Tuple(u, pre, v, post, (), ()))
         case Step(axis, _):
             raise UnsupportedFragment(f"axis {axis.value} is outside eval2")
@@ -311,19 +310,16 @@ def eval2(
     return _settled(out, p, trace)
 
 
-def _reach(graph: SchemaGraph, step: Step, starts: Optional[AbstractSet[SgNode]]):
-    """(us, v) for the places v labeled step.label, each with the places u
-    that v sits under (a child step) or beside (a sibling step, admissible
-    or not): all of them, or only those in starts.  The virtual node has no
-    parent, so it is never a v and has no siblings."""
-    child = step.axis is Axis.CHILD
-    if starts is None:
-        for v in graph.places_labeled(step.label):
-            yield (graph.places_labeled if child else graph.children)(v.parent_label), v
-        return
-    for u in starts:
-        for v in graph.children_with_label(u.label if child else u.parent_label, step.label):
-            yield (u,), v
+def _froms(graph: SchemaGraph, step: Step, starts: Optional[AbstractSet[SgNode]]):
+    """The places a step runs from: starts, or in an unrestricted run every
+    place that can have a child (a child step) or a sibling (a sibling
+    step) labeled step.label, so that no place is probed in vain.  The
+    virtual node has no parent label, so it has no siblings."""
+    if starts is not None:
+        return starts
+    parents = dict.fromkeys(v.parent_label for v in graph.places_labeled(step.label))
+    group = graph.places_labeled if step.axis is Axis.CHILD else graph.children
+    return [u for lbl in parents for u in group(lbl)]
 
 
 def _ends(ts: tuple[Eval2Tuple, ...], starts: Optional[AbstractSet[SgNode]]):

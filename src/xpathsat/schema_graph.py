@@ -146,7 +146,8 @@ class SchemaGraph:
         node's parent label."""
         return self._children.get(parent_label, ())
 
-    def children_with_label(self, parent_label: str, label: str) -> tuple[SgNode, ...]:
+    def children_with_label(self, parent_label: str | None, label: str) -> tuple[SgNode, ...]:
+        """The places labeled label under parent_label; none for None."""
         return self._by_label.get((parent_label, label), ())
 
     def places_labeled(self, label: str | None) -> tuple[SgNode, ...]:

@@ -268,8 +268,9 @@ def reference_tokenize(text: str) -> list[str]:
 
 
 def probing_child_arm(graph: SchemaGraph, label: str) -> tuple[Eval2Tuple, ...]:
-    """eval2 of a child step as it was before the label index: every place u
-    of the graph probed for children labeled `label`."""
+    """eval2 of a child step written out on its own, maps built through
+    `SibMap.of`: every place u of the graph probed for children labeled
+    `label`."""
     return tuple(
         Eval2Tuple(
             start=u,
@@ -300,8 +301,9 @@ def eager_eval2_verdict(graph: SchemaGraph, p: Path) -> Verdict:
 
 
 def probing_sibling_arm(graph: SchemaGraph, axis: Axis, label: str) -> tuple[Eval2Tuple, ...]:
-    """eval2 of a sibling step as it was before the label index: every place
-    u under every parent label probed for siblings labeled `label`."""
+    """eval2 of a sibling step written out on its own, maps built through
+    `SibMap.of`: every place u under every parent label probed for siblings
+    labeled `label`."""
     return tuple(
         Eval2Tuple(
             start=u,
