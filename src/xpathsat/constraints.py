@@ -49,17 +49,6 @@ class SibMap(NamedTuple):
     def empty() -> "SibMap":
         return _EMPTY
 
-    @staticmethod
-    def of(items: Iterable[tuple[Key, Iterable[str], DfsBits]]) -> "SibMap":
-        m = _EMPTY
-        for key, values, dfs in items:
-            assert len(key) == len(dfs)
-            m = m.join(SibMap((SibEntry(key, frozenset(values), tuple(dfs)),)))
-        return m
-
-    def get(self, key: Key) -> Optional[SibEntry]:
-        return next((e for e in self.entries if e.key == key), None)
-
     def join(self, other: "SibMap") -> "SibMap":
         """Both maps' requirements; a key on both sides gets both value sets."""
         if not self.entries or not other.entries:

@@ -28,7 +28,7 @@ from .content_model import (
 )
 from .dtd import Dtd
 from .errors import ParseError
-from .xpath import Axis, Path, QAnd, QOr, QPath, Qexpr, Seq, Step, Union, peel
+from .xpath import Axis, Path, QAnd, QOr, QPath, Qexpr, Qual, Seq, Step, Union
 
 Word = tuple[str, ...]
 NodePath = tuple[int, ...]  # child indices from the root; () is the root
@@ -121,34 +121,36 @@ Nodes = dict[NodePath, Ctx]
 
 
 def _compile(p: Path) -> Callable[[Nodes], Nodes]:
-    p, stack = peel(p)
-    quals = [_compile_qual(q) for q in stack]  # innermost first, as they apply
     match p:
         case Step(axis, label):
-            f = _compile_step(axis, label)
+            return _compile_step(axis, label)
         case Seq(steps):
             parts = [_compile(x) for x in steps]
 
-            def f(nodes: Nodes) -> Nodes:
+            def seq(nodes: Nodes) -> Nodes:
                 for part in parts:
                     if not nodes:
                         break
                     nodes = part(nodes)
                 return nodes
-        case Union(left, right):
-            lf, rf = _compile(left), _compile(right)
+            return seq
+        case Union(items):
+            parts = [_compile(x) for x in items]
 
-            def f(nodes: Nodes) -> Nodes:
-                return lf(nodes) | rf(nodes)
-        case _:
-            raise TypeError(f"not a path: {p!r}")
-    if not quals:
-        return f
+            def union(nodes: Nodes) -> Nodes:
+                out: Nodes = {}
+                for part in parts:
+                    out.update(part(nodes))
+                return out
+            return union
+        case Qual(base, quals):
+            f = _compile(base)
+            tests = [_compile_qual(q) for q in quals]  # innermost first, as they apply
 
-    def qualified(nodes: Nodes) -> Nodes:
-        return {k: c for k, c in f(nodes).items() if all(q(c) for q in quals)}
-
-    return qualified
+            def qualified(nodes: Nodes) -> Nodes:
+                return {k: c for k, c in f(nodes).items() if all(q(c) for q in tests)}
+            return qualified
+    raise TypeError(f"not a path: {p!r}")
 
 
 def _compile_qual(q: Qexpr) -> Callable[[Ctx], bool]:
@@ -156,12 +158,12 @@ def _compile_qual(q: Qexpr) -> Callable[[Ctx], bool]:
         case QPath(path):
             f = _compile(path)
             return lambda c: bool(f({c[0]: c}))
-        case QAnd(left, right):
-            lq, rq = _compile_qual(left), _compile_qual(right)
-            return lambda c: lq(c) and rq(c)
-        case QOr(left, right):
-            lq, rq = _compile_qual(left), _compile_qual(right)
-            return lambda c: lq(c) or rq(c)
+        case QAnd(items):
+            tests = [_compile_qual(x) for x in items]
+            return lambda c: all(q(c) for q in tests)
+        case QOr(items):
+            tests = [_compile_qual(x) for x in items]
+            return lambda c: any(q(c) for q in tests)
     raise TypeError(f"not a qualifier: {q!r}")
 
 
@@ -382,12 +384,6 @@ def iter_trees(d: Dtd, depth: int, rep: int) -> Iterator[DocTree]:
     for size in range(lo, hi + 1):
         for _, _, t in sorted(build(d.root, depth, size)):
             yield t
-
-
-def enumerate_trees(d: Dtd, depth: int, rep: int) -> list[DocTree]:
-    """Every tree of `iter_trees`, smallest first: by node count, then by
-    preorder labels."""
-    return list(iter_trees(d, depth, rep))
 
 
 def oracle_satisfiable(d: Dtd, p: Path, depth: int, rep: int) -> DocTree | None:

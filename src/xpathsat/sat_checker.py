@@ -39,7 +39,7 @@ from .errors import UnsupportedFragment
 from .schema_graph import SchemaGraph, SgNode, build_schema_graph
 from .xpath import (
     ARROW, Axis, Path, QPath, Qual, Seq, Step, Union,
-    fragment_of, normalize, parse_xpath, peel, render_xpath,
+    fragment_of, normalize, parse_xpath, render_xpath,
 )
 
 
@@ -285,9 +285,8 @@ def eval2(
                 ]
                 if i < len(steps) - 1:
                     t1s = _settled(out, Seq(steps[:i + 1]), trace)
-        case Qual():
+        case Qual(base, quals):
             # stacked qualifiers apply innermost first; each stacked prefix is settled
-            base, quals = peel(p)
             t1s = eval2(graph, base, trace, starts)
             for i, q in enumerate(quals):
                 if not isinstance(q, QPath):
@@ -301,9 +300,8 @@ def eval2(
                     for t1, _, post in _joined(t1s, t2s, d)
                 ]
                 if i < len(quals) - 1:
-                    base = Qual(base, q)
-                    t1s = _settled(out, base, trace)
-        case Union(_, _):
+                    t1s = _settled(out, Qual(base, quals[:i + 1]), trace)
+        case Union():
             raise UnsupportedFragment("union is outside eval2")
         case _:
             raise TypeError(f"not a path: {p!r}")

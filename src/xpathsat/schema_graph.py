@@ -20,7 +20,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .content_model import Concat, Disj, Epsilon, Expr, Star, Symbol, concat_of, render
+from .content_model import (
+    Concat, Disj, Epsilon, Expr, Star, Symbol, concat_of, render, symbol_counts,
+)
 from .dtd import Dtd, NotMRW, is_mdf_dc, is_mrw, top_factors, _label_star_scope
 from .errors import DtdError
 
@@ -48,7 +50,7 @@ def dc_convert(e: Expr) -> tuple[DcFactor, ...]:
                 labels: tuple[str, ...] = (name,)
                 omega = "-"
             case Star(body):
-                labels = _occurrence_order(body)
+                labels = tuple(symbol_counts(body))  # first-occurrence order
                 omega = "*"
             case _:
                 raise DtdError(f"unexpected factor {render(f)} after conversion")
@@ -67,23 +69,6 @@ def _strip_disj(e: Expr) -> Expr:
         case Concat(items) | Disj(items):
             return concat_of([_strip_disj(it) for it in items])
     raise DtdError(f"model is not MDF/DC: {render(e)}")
-
-
-def _occurrence_order(e: Expr) -> tuple[str, ...]:
-    order: list[str] = []
-
-    def walk(x: Expr) -> None:
-        match x:
-            case Symbol(name):
-                if name not in order:
-                    order.append(name)
-            case Concat(items) | Disj(items):
-                for it in items:
-                    walk(it)
-            case Star(item):
-                walk(item)
-    walk(e)
-    return tuple(order)
 
 
 @dataclass(frozen=True, slots=True)

@@ -11,9 +11,14 @@ Arrows are aliases: ↓ child, ↑ parent, ↓* desc-or-self, ↑* anc-or-self,
 stacked qualifiers by `normalize`, which preserves meaning and is what the
 tuple-based evaluation expects.
 
-`/` is associative, so a sequence is one flat `Seq` of its parts, looped
-over rather than recursed into: `(↓::a/↓::b)/↓::c` parses to the node of
-`↓::a/↓::b/↓::c` and prints flat.  Nesting too deep to parse is a ParseError.
+`/` and `∪` are associative, so a sequence is one flat `Seq` of its parts
+and a union one flat `Union` of its operands, looped over rather than
+recursed into: `(↓::a/↓::b)/↓::c` parses to the node of `↓::a/↓::b/↓::c`,
+and `↓::a ∪ (↓::b ∪ ↓::c)` to that of `↓::a ∪ ↓::b ∪ ↓::c`; both print flat.
+Likewise a stack of qualifiers is one `Qual` over a base that is not itself
+qualified, and a run of one connective is one `QAnd` or `QOr`: `and` and
+`or` bind equally and group to the right, so `a or b and c and d` is
+`QOr((a, QAnd((b, c, d))))`.  Nesting too deep to parse is a ParseError.
 """
 
 from __future__ import annotations
@@ -21,7 +26,6 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass
-from functools import reduce
 
 from .errors import ParseError
 
@@ -69,8 +73,7 @@ class Seq:
 
 @dataclass(frozen=True, slots=True)
 class Union:
-    left: "Path"
-    right: "Path"
+    items: tuple["Path", ...]  # always >= 2 items, none Union
 
 
 @dataclass(frozen=True, slots=True)
@@ -80,14 +83,12 @@ class QPath:
 
 @dataclass(frozen=True, slots=True)
 class QAnd:
-    left: "Qexpr"
-    right: "Qexpr"
+    items: tuple["Qexpr", ...]  # always >= 2 items, none QAnd
 
 
 @dataclass(frozen=True, slots=True)
 class QOr:
-    left: "Qexpr"
-    right: "Qexpr"
+    items: tuple["Qexpr", ...]  # always >= 2 items, none QOr
 
 
 Qexpr = QPath | QAnd | QOr
@@ -95,8 +96,8 @@ Qexpr = QPath | QAnd | QOr
 
 @dataclass(frozen=True, slots=True)
 class Qual:
-    base: "Path"
-    qual: Qexpr
+    base: "Path"               # never a Qual
+    quals: tuple[Qexpr, ...]   # innermost first, at least one
 
 
 Path = Step | Seq | Union | Qual
@@ -143,11 +144,14 @@ class _Parser:
             raise ParseError(f"expected {tok!r}, got {got!r}")
 
     def parse_pathexpr(self) -> Path:
-        p = self.parse_path()
-        while self.peek() == "|u|":
+        items: list[Path] = []
+        while True:
+            p = self.parse_path()
+            # a parenthesized union splices in: `∪` is associative
+            items.extend(p.items if isinstance(p, Union) else (p,))
+            if self.peek() != "|u|":
+                return Union(tuple(items)) if len(items) > 1 else items[0]
             self.take()
-            p = Union(p, self.parse_path())
-        return p
 
     def parse_path(self) -> Path:
         parts: list[Path] = []
@@ -175,22 +179,39 @@ class _Parser:
             if not label or label[0] not in _WORD_START:
                 raise ParseError(f"bad label {label!r}")
             p = Step(axis, label)
+        if self.peek() != "[":
+            return p
+        # a qualified group's stack splices in: its qualifiers apply first
+        quals: list[Qexpr] = []
+        if isinstance(p, Qual):
+            p, quals = p.base, list(p.quals)
         while self.peek() == "[":
             self.take()
-            q = self.parse_qexpr()
+            quals.append(self.parse_qexpr())
             self.expect("]")
-            p = Qual(p, q)
-        return p
+        return Qual(p, tuple(quals))
 
     def parse_qexpr(self) -> Qexpr:
-        left: Qexpr = QPath(self.parse_pathexpr())
-        if self.peek() == "and":
-            self.take()
-            return QAnd(left, self.parse_qexpr())
-        if self.peek() == "or":
-            self.take()
-            return QOr(left, self.parse_qexpr())
-        return left
+        q: Qexpr = QPath(self.parse_pathexpr())
+        if self.peek() not in _CONNECTIVES:
+            return q
+        operands, words = [q], []
+        while self.peek() in _CONNECTIVES:
+            words.append(self.take())
+            operands.append(QPath(self.parse_pathexpr()))
+        # equal precedence, grouped to the right: from the right, each run of
+        # one connective is one node whose last operand is the node built so far
+        q = operands.pop()
+        while words:
+            word, run = words[-1], [q]
+            while words and words[-1] == word:
+                words.pop()
+                run.append(operands.pop())
+            q = _CONNECTIVES[word](tuple(reversed(run)))
+        return q
+
+
+_CONNECTIVES = {"and": QAnd, "or": QOr}
 
 
 def parse_xpath(text: str) -> Path:
@@ -226,11 +247,10 @@ def _render(p: Path, prec: int, arrows: bool) -> str:
         case Seq(steps):
             s = "/".join(_render(x, _PREC_STEP, arrows) for x in steps)
             return f"({s})" if prec > _PREC_SEQ else s
-        case Union(left, right):
-            s = f"{_render(left, _PREC_UNION, arrows)}|u|{_render(right, _PREC_SEQ, arrows)}"
+        case Union(items):
+            s = "|u|".join(_render(x, _PREC_SEQ, arrows) for x in items)
             return f"({s})" if prec > _PREC_UNION else s
-        case Qual():
-            base, quals = peel(p)
+        case Qual(base, quals):
             qs = "".join(f"[{_render_q(q, arrows)}]" for q in quals)
             return _render(base, _PREC_STEP, arrows) + qs
     raise TypeError(f"not a path: {p!r}")
@@ -240,65 +260,42 @@ def _render_q(q: Qexpr, arrows: bool) -> str:
     match q:
         case QPath(path):
             return _render(path, _PREC_UNION, arrows)
-        case QAnd(left, right):
-            return f"{_render_q(left, arrows)} and {_render_q(right, arrows)}"
-        case QOr(left, right):
-            return f"{_render_q(left, arrows)} or {_render_q(right, arrows)}"
+        case QAnd(items):
+            return " and ".join(_render_q(x, arrows) for x in items)
+        case QOr(items):
+            return " or ".join(_render_q(x, arrows) for x in items)
     raise TypeError(f"not a qualifier: {q!r}")
 
 
 # --- shape queries -----------------------------------------------------------
-
-def peel(p: Path) -> tuple[Path, list[Qexpr]]:
-    """A qualifier stack's innermost base and its qualifiers, innermost first."""
-    quals = []
-    while isinstance(p, Qual):
-        quals.append(p.qual)
-        p = p.base
-    return p, quals[::-1]
-
 
 def size(p: Path | Qexpr) -> int:
     """Number of atomic steps, qualifiers included."""
     match p:
         case Step(_, _):
             return 1
-        case Seq(steps):
-            return sum(size(x) for x in steps)
-        case Union(left, right) | QAnd(left, right) | QOr(left, right):
-            return size(left) + size(right)
-        case Qual(base, qual):
-            return size(base) + size(qual)
+        case Seq(parts) | Union(parts) | QAnd(parts) | QOr(parts):
+            return sum(size(x) for x in parts)
+        case Qual(base, quals):
+            return size(base) + sum(size(q) for q in quals)
         case QPath(path):
             return size(path)
     raise TypeError(f"not a path: {p!r}")
 
 
-def _collect(p: Path | Qexpr, axes: set[Axis], flags: dict[str, bool]) -> None:
+def _collect(p: Path | Qexpr, axes: set[Axis], kinds: set[type]) -> None:
+    kinds.add(type(p))
     match p:
         case Step(axis, _):
             axes.add(axis)
-        case Seq(steps):
-            for x in steps:
-                _collect(x, axes, flags)
-        case Union(left, right):
-            flags["union"] = True
-            _collect(left, axes, flags)
-            _collect(right, axes, flags)
-        case Qual():
-            flags["qualifier"] = True
-            base, quals = peel(p)
+        case Seq(parts) | Union(parts) | QAnd(parts) | QOr(parts):
+            for x in parts:
+                _collect(x, axes, kinds)
+        case Qual(base, quals):
             for x in (base, *quals):
-                _collect(x, axes, flags)
+                _collect(x, axes, kinds)
         case QPath(path):
-            _collect(path, axes, flags)
-        case QAnd(left, right):
-            _collect(left, axes, flags)
-            _collect(right, axes, flags)
-        case QOr(left, right):
-            flags["qual_or"] = True
-            _collect(left, axes, flags)
-            _collect(right, axes, flags)
+            _collect(path, axes, kinds)
 
 
 _EVAL1_AXES = {Axis.CHILD, Axis.PARENT, Axis.FSIB, Axis.PSIB}
@@ -308,11 +305,11 @@ _EVAL2_AXES = {Axis.CHILD, Axis.FSIB, Axis.PSIB}
 def fragment_of(p: Path) -> str:
     """Which decision procedure fits: 'eval1', 'eval2', or 'full' (neither)."""
     axes: set[Axis] = set()
-    flags = {"union": False, "qualifier": False, "qual_or": False}
-    _collect(p, axes, flags)
-    if not flags["union"] and not flags["qualifier"] and axes <= _EVAL1_AXES:
+    kinds: set[type] = set()
+    _collect(p, axes, kinds)
+    if not kinds & {Union, Qual} and axes <= _EVAL1_AXES:
         return "eval1"
-    if not flags["union"] and not flags["qual_or"] and axes <= _EVAL2_AXES:
+    if not kinds & {Union, QOr} and axes <= _EVAL2_AXES:
         return "eval2"
     return "full"
 
@@ -325,28 +322,18 @@ def normalize(p: Path) -> Path:
     match p:
         case Step(_, _):
             return p
-        case Seq(steps):
-            return Seq(tuple(normalize(x) for x in steps))
-        case Union(left, right):
-            return Union(normalize(left), normalize(right))
-        case Qual():
-            base, quals = peel(p)
-            return reduce(_apply_quals, quals, normalize(base))
+        case Seq(parts) | Union(parts):
+            return type(p)(tuple(normalize(x) for x in parts))
+        case Qual(base, quals):
+            split = [x for q in quals for x in (q.items if isinstance(q, QAnd) else (q,))]
+            return Qual(normalize(base), tuple(_normalize_q(q) for q in split))
     raise TypeError(f"not a path: {p!r}")
-
-
-def _apply_quals(base: Path, q: Qexpr) -> Path:
-    if isinstance(q, QAnd):
-        return _apply_quals(_apply_quals(base, q.left), q.right)
-    return Qual(base, _normalize_q(q))
 
 
 def _normalize_q(q: Qexpr) -> Qexpr:
     match q:
         case QPath(path):
             return QPath(normalize(path))
-        case QAnd(left, right):
-            return QAnd(_normalize_q(left), _normalize_q(right))
-        case QOr(left, right):
-            return QOr(_normalize_q(left), _normalize_q(right))
+        case QAnd(items) | QOr(items):
+            return type(q)(tuple(_normalize_q(x) for x in items))
     raise TypeError(f"not a qualifier: {q!r}")

@@ -200,6 +200,21 @@ def _seq(steps: list[Step]) -> Path:
     return Seq(tuple(steps)) if len(steps) > 1 else steps[0]
 
 
+def _flat(kind, left, right):
+    """left and right joined by a node of `kind` (Union, QAnd or QOr), as
+    the parser builds one: a side of the same kind splices in."""
+    return kind(tuple(
+        x for p in (left, right) for x in (p.items if isinstance(p, kind) else (p,))
+    ))
+
+
+def _qualified(base: Path, q: Qexpr) -> Path:
+    """base with one more qualifier, stacked onto base's own if it has some."""
+    if isinstance(base, Qual):
+        return Qual(base.base, base.quals + (q,))
+    return Qual(base, (q,))
+
+
 def _pick_label(rng, labels, stray="z") -> str:
     return stray if rng.random() < 0.05 else rng.choice(labels)
 
@@ -257,9 +272,9 @@ def random_eval2_query(rng, d: Dtd, budget=4) -> Path:
                   for _ in range(take)]
         q: object = QPath(_seq(qsteps))
         if left - take >= 1 and rng.random() < 0.25:
-            q = QAnd(q, QPath(Step(Axis.CHILD, _pick_label(rng, labels))))
+            q = QAnd((q, QPath(Step(Axis.CHILD, _pick_label(rng, labels)))))
             take += 1
-        steps[slot] = Qual(steps[slot], q)
+        steps[slot] = Qual(steps[slot], (q,))
         left -= take
         attached = True
         if rng.random() < 0.6:
@@ -283,14 +298,14 @@ def random_full_query(rng, labels, depth=2) -> Path:
                 parts.extend(x.steps if isinstance(x, Seq) else (x,))
             return Seq(tuple(parts))
         if kind == "union":
-            return Union(path(depth - 1), path(depth - 1))
-        return Qual(path(depth - 1), qual(depth - 1))
+            return _flat(Union, path(depth - 1), path(depth - 1))
+        return _qualified(path(depth - 1), qual(depth - 1))
 
     def qual(depth: int) -> Qexpr:
         kind = rng.choice(["path", "path", "and", "or"]) if depth else "path"
         if kind == "path":
             return QPath(path(depth))
-        return (QAnd if kind == "and" else QOr)(qual(depth - 1), qual(depth - 1))
+        return _flat(QAnd if kind == "and" else QOr, qual(depth - 1), qual(depth - 1))
 
     return path(depth)
 

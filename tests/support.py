@@ -1,7 +1,8 @@
 """Reference machinery that only the tests use.
 
-* The words of a content model up to a length, and a requirement map with
-  one more entry.
+* The words of a content model up to a length, the list of every tree the
+  oracle's stream yields, and requirement maps built from entries, read
+  by key, or extended by one more entry.
 * The subsequence closure of a content model, which checks that `delta`
   keeps the realizable label subsequences of a model.
 * Schema-graph mappings of concrete trees and a bounded search for a tree
@@ -18,6 +19,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import product
+from typing import Optional
 
 from xpathsat.constraints import DfsBits, Key, SibEntry, SibMap, coverable, psi
 from xpathsat.content_model import Expr, Nfa, symbol_counts
@@ -55,6 +57,26 @@ def enumerate_words(e: Expr, max_len: int) -> list[Word]:
                     next_frontier.append((word + (a,), t))
         frontier = next_frontier
     return out
+
+
+def enumerate_trees(d: Dtd, depth: int, rep: int) -> list[DocTree]:
+    """Every tree of `iter_trees`, smallest first: by node count, then by
+    preorder labels."""
+    return list(iter_trees(d, depth, rep))
+
+
+def sibmap_of(items: Iterable[tuple[Key, Iterable[str], DfsBits]]) -> SibMap:
+    """The map of (key, values, dfs bits) entries, value sets merged per key."""
+    m = SibMap.empty()
+    for key, values, dfs in items:
+        assert len(key) == len(dfs)
+        m = with_entry(m, key, tuple(dfs), values)
+    return m
+
+
+def entry_at(m: SibMap, key: Key) -> Optional[SibEntry]:
+    """m's entry for key, or None."""
+    return next((e for e in m.entries if e.key == key), None)
 
 
 def with_entry(m: SibMap, key: Key, dfs: DfsBits, values: Iterable[str]) -> SibMap:
@@ -269,14 +291,14 @@ def reference_tokenize(text: str) -> list[str]:
 
 def probing_child_arm(graph: SchemaGraph, label: str) -> tuple[Eval2Tuple, ...]:
     """eval2 of a child step written out on its own, maps built through
-    `SibMap.of`: every place u of the graph probed for children labeled
+    `sibmap_of`: every place u of the graph probed for children labeled
     `label`."""
     return tuple(
         Eval2Tuple(
             start=u,
             pre=SibMap.empty(),
             end=v,
-            post=SibMap.of([(((u.label,)), psi(v), (u.is_dfs,))]),
+            post=sibmap_of([(((u.label,)), psi(v), (u.is_dfs,))]),
             rel=(u.label,),
             rel_dfs=(u.is_dfs,),
         )
@@ -302,14 +324,14 @@ def eager_eval2_verdict(graph: SchemaGraph, p: Path) -> Verdict:
 
 def probing_sibling_arm(graph: SchemaGraph, axis: Axis, label: str) -> tuple[Eval2Tuple, ...]:
     """eval2 of a sibling step written out on its own, maps built through
-    `SibMap.of`: every place u under every parent label probed for siblings
+    `sibmap_of`: every place u under every parent label probed for siblings
     labeled `label`."""
     return tuple(
         Eval2Tuple(
             start=u,
-            pre=SibMap.of([((), psi(u), ())]),
+            pre=sibmap_of([((), psi(u), ())]),
             end=v,
-            post=SibMap.of([((), psi(u) | psi(v), ())]),
+            post=sibmap_of([((), psi(u) | psi(v), ())]),
             rel=(),
             rel_dfs=(),
         )
@@ -334,11 +356,12 @@ def reference_eval(t: DocTree, p: Path, start: NodePath = ()) -> set[NodePath]:
                     after |= reference_eval(t, x, mid)
                 nodes = after
             return nodes
-        case Union(left, right):
-            return reference_eval(t, left, start) | reference_eval(t, right, start)
-        case Qual(base, qual):
+        case Union(items):
+            return set().union(*(reference_eval(t, x, start) for x in items))
+        case Qual(base, quals):
             return {
-                e for e in reference_eval(t, base, start) if _reference_holds(t, qual, e)
+                e for e in reference_eval(t, base, start)
+                if all(_reference_holds(t, q, e) for q in quals)
             }
     raise TypeError(f"not a path: {p!r}")
 
@@ -398,10 +421,10 @@ def _reference_holds(t: DocTree, q: Qexpr, at: NodePath) -> bool:
     match q:
         case QPath(path):
             return bool(reference_eval(t, path, at))
-        case QAnd(left, right):
-            return _reference_holds(t, left, at) and _reference_holds(t, right, at)
-        case QOr(left, right):
-            return _reference_holds(t, left, at) or _reference_holds(t, right, at)
+        case QAnd(items):
+            return all(_reference_holds(t, x, at) for x in items)
+        case QOr(items):
+            return any(_reference_holds(t, x, at) for x in items)
     raise TypeError(f"not a qualifier: {q!r}")
 
 
@@ -429,7 +452,8 @@ class ReferenceEntry:
 
 
 def reference_of(items: Iterable[tuple[Key, Iterable[str], DfsBits]]) -> SibMap:
-    """`SibMap.of` as it was: value sets merged per key, every entry rebuilt."""
+    """`sibmap_of` as it was before it folded over `join`: value sets merged
+    per key, every entry rebuilt."""
     merged: dict[Key, tuple[set[str], DfsBits]] = {}
     for key, values, dfs in items:
         if key in merged:

@@ -26,7 +26,6 @@ from xpathsat import (
     coverable,
     delta,
     delta_dtd,
-    enumerate_trees,
     equivalent,
     eval1,
     eval2,
@@ -46,7 +45,9 @@ from xpathsat.content_model import (
 from xpathsat.xpath import Axis, Seq, Step
 
 import gens
-from support import beta_satisfied, enumerate_words, find_beta_witness, with_entry
+from support import (
+    beta_satisfied, enumerate_trees, enumerate_words, find_beta_witness, with_entry,
+)
 
 DATA = pathlib.Path(__file__).parent / "data"
 

@@ -251,20 +251,33 @@ def test_oracle_witness(worked_file):
     assert (code, out) == (0, "SAT r(r(c),b(a))\n")
 
 
+# 1,500 operands of one `and`, and a union of 1,500 operands whose last is
+# ↓::r[↓::c] (no q exists in the worked DTD): each is one flat node, walked in
+# a loop rather than by one call per operand
+AND_CHAIN = "↓::r[" + " and ".join(["↓::c"] * 1500) + "]"
+WIDE_UNION = "↓::q ∪ " * 1499 + "↓::r[↓::c]"
+
+
 def test_oracle_stacked_qualifiers(worked_file):
-    # 1,500 stacked qualifiers are peeled in a loop, not one call each
+    # 1,500 stacked qualifiers are one stack, not one call each; --rep is
+    # always given, since the default rep grows with the query's size
     argv = ["oracle", "--dtd", worked_file, "--depth", "3", "--rep", "2", "--xpath"]
     want = (0, "SAT r(c,r(c))\n", "")
     assert run(argv + ["↓::r[↓::c]"]) == want
     assert run(argv + ["↓::r" + "[↓::c]" * 1500]) == want
+    assert run(argv + [AND_CHAIN]) == want
+    assert run(argv + [WIDE_UNION]) == want
 
 
 def test_sat_stacked_qualifiers(worked_file):
-    # the sat path peels 1,500 stacked qualifiers in a loop as well
+    # the sat path walks 1,500 stacked qualifiers in a loop as well
     argv = ["sat", "--dtd", worked_file, "--xpath"]
     assert run(argv + ["↓::r[↓::c]"]) == (0, "SAT\n", "")
     assert run(argv + ["↓::r" + "[↓::c]" * 1500]) == (0, "SAT\n", "")
     assert run(argv + ["↓::r" + "[↓::c]" * 1500 + "[↓::b]"]) == (1, "UNSAT\n", "")
+    assert run(argv + [AND_CHAIN]) == (0, "SAT\n", "")
+    code, out, _ = run(argv + [WIDE_UNION])
+    assert (code, out) == (4, "")
 
 
 def test_oracle_readme_quick_start(worked_file):

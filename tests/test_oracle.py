@@ -13,7 +13,6 @@ from xpathsat.constraints import SibMap
 from xpathsat.oracle import (
     DocTree,
     conforms,
-    enumerate_trees,
     eval_xpath_full,
     iter_trees,
     min_heights,
@@ -29,10 +28,12 @@ from gens import random_full_query, random_mdf_dc_dtd, tree_count
 from support import (
     beta_satisfied,
     compute_sg_mappings,
+    enumerate_trees,
     find_beta_witness,
     node_at,
     reference_eval,
     reference_search,
+    sibmap_of,
 )
 
 WORKED = "root r\nr := r*(a*b|c)r*\na := eps\nb := a\nc := eps\n"
@@ -485,7 +486,7 @@ def test_mappings_respect_positions():
 def test_beta_satisfied_worked_examples():
     d = worked()
     t = parse_tree(WORKED_TREE)
-    good = SibMap.of(
+    good = sibmap_of(
         [
             (("r",), {"a", "b"}, (True,)),
             (("r", "r"), {"c"}, (True, False)),
@@ -493,7 +494,7 @@ def test_beta_satisfied_worked_examples():
         ]
     )
     assert beta_satisfied(t, good, d)
-    assert not beta_satisfied(t, SibMap.of([(("r",), {"a", "b", "c"}, (True,))]), d)
+    assert not beta_satisfied(t, sibmap_of([(("r",), {"a", "b", "c"}, (True,))]), d)
     assert beta_satisfied(t, SibMap.empty(), d)
 
 
@@ -501,23 +502,23 @@ def test_beta_satisfied_missing_path():
     # a demanded key with no matching node fails even with empty values
     d = worked()
     t = parse_tree(WORKED_TREE)
-    assert not beta_satisfied(t, SibMap.of([(("r", "c"), set(), (True, True))]), d)
+    assert not beta_satisfied(t, sibmap_of([(("r", "c"), set(), (True, True))]), d)
 
 
 def test_beta_satisfied_relative_keys_are_skipped():
     d = worked()
     t = parse_tree(WORKED_TREE)
-    assert beta_satisfied(t, SibMap.of([((), {"q"}, ())]), d)
+    assert beta_satisfied(t, sibmap_of([((), {"q"}, ())]), d)
 
 
 def test_find_beta_witness():
     d = worked()
-    ok = SibMap.of([(("r",), {"b"}, (True,)), (("r", "b"), {"a"}, (True, True))])
+    ok = sibmap_of([(("r",), {"b"}, (True,)), (("r", "b"), {"a"}, (True, True))])
     w = find_beta_witness(d, ok, depth=3, rep=2)
     assert w is not None
     t, theta = w
     assert render_tree(t) == "r(b(a))"
     assert theta[()].name == "u0"
     assert beta_satisfied(t, ok, d)
-    bad = SibMap.of([(("r",), {"b", "c"}, (True,))])
+    bad = sibmap_of([(("r",), {"b", "c"}, (True,))])
     assert find_beta_witness(d, bad, depth=3, rep=2) is None

@@ -25,8 +25,10 @@ from xpathsat import (
 from xpathsat.constraints import SibMap, consistent, render_map
 from xpathsat import sat_checker
 from xpathsat.oracle import oracle_satisfiable, parse_tree, render_tree, satisfies
-from xpathsat.sat_checker import Eval2Tuple, compile_dtd, eval1, eval2, render_tuple_set
-from xpathsat.xpath import Axis, Qual, Seq, Step, normalize, peel
+from xpathsat.sat_checker import (
+    Eval2Tuple, _accepting, compile_dtd, eval1, eval2, render_tuple_set,
+)
+from xpathsat.xpath import Axis, QAnd, Qual, Seq, Step, Union, normalize
 
 from gens import (
     dense_dtd,
@@ -36,7 +38,9 @@ from gens import (
     random_recursive_mdf_dc_dtd,
     tree_count,
 )
-from support import eager_eval2_verdict, probing_child_arm, probing_sibling_arm
+from support import (
+    eager_eval2_verdict, entry_at, probing_child_arm, probing_sibling_arm,
+)
 
 WORKED = "root r\nr := r*(a*b|c)r*\na := eps\nb := a\nc := eps\n"
 
@@ -230,7 +234,7 @@ def test_eval1_invariants_on_random_runs():
             for a, b in zip(results, results[1:]):
                 for e in a.beta.entries:
                     if e.key and all(e.dfs):
-                        after = b.beta.get(e.key)
+                        after = entry_at(b.beta, e.key)
                         assert after is not None and e.values <= after.values
             runs += 1
     assert runs == 240
@@ -336,20 +340,37 @@ def test_stacked_qualifiers_need_no_recursion():
     try:
         text = "↓::r" + "[↓::c and ↓::r]" * 1_000
         p = normalize(parse_xpath(text))
-        base, quals = peel(p)
-        assert base == Step(Axis.CHILD, "r") and len(quals) == 2_000
-        assert [render_xpath(q.path, arrows=True) for q in quals[:3]] == ["↓::c", "↓::r", "↓::c"]
+        assert p.base == Step(Axis.CHILD, "r") and len(p.quals) == 2_000
+        heads = [render_xpath(q.path, arrows=True) for q in p.quals[:3]]
+        assert heads == ["↓::c", "↓::r", "↓::c"]
         assert fragment_of(p) == "eval2"
         assert render_xpath(p, arrows=True) == "↓::r" + "[↓::c][↓::r]" * 1_000
         assert satisfiable(parse_dtd(WORKED), p).sat
         assert not satisfiable(parse_dtd(WORKED), text + "[↓::b]").sat
+        assert size(parse_xpath("↓::r" + "[↓::c]" * 1_500)) == 1_501
+        # a union and a connective chain of 1,500 operands are one node each
+        union = " ∪ ".join(["↓::c"] * 1_500)
+        chain = "↓::r[" + " and ".join(["↓::c"] * 1_500) + "]"
+        for text, kind, frag, rendered, steps in [
+            (union, Union, "full", "|u|".join(["↓::c"] * 1_500), 1_500),
+            (chain, QAnd, "eval2", "↓::r" + "[↓::c]" * 1_500, 1_501),
+        ]:
+            p = parse_xpath(text)
+            node = p if kind is Union else p.quals[0]
+            assert isinstance(node, kind) and len(node.items) == 1_500
+            assert render_xpath(p, arrows=True) == text.replace(" ∪ ", "|u|")
+            assert parse_xpath(render_xpath(p)) == p
+            n = normalize(p)
+            assert render_xpath(n, arrows=True) == rendered
+            assert fragment_of(p) == fragment_of(n) == frag
+            assert size(p) == size(n) == steps
     finally:
         sys.setrecursionlimit(limit)
 
 
 def _entailed_by(small: SibMap, big: SibMap) -> bool:
     return all(
-        (found := big.get(e.key)) is not None and e.values <= found.values
+        (found := entry_at(big, e.key)) is not None and e.values <= found.values
         for e in small.entries
     )
 
@@ -484,6 +505,31 @@ def test_small_differential_against_oracle():
     assert checked >= 60
 
 
+def test_eval1_and_eval2_agree_on_their_shared_fragment():
+    # qualifier-free child and sibling steps lie in both fragments.  Both
+    # deciders key requirements by label path, so both have the same-label
+    # gap of test_shared_key_query_is_sat: this pins their agreement, not
+    # their completeness.
+    rng = random.Random(1357)
+    dtds = [random_mdf_dc_dtd(rng) for _ in range(30)]
+    dtds += [random_recursive_mdf_dc_dtd(rng) for _ in range(30)]
+    dtds += [dense_dtd(4), parse_dtd(WORKED), parse_dtd(SHARED_KEY_DTD)]
+    axes = (Axis.CHILD, Axis.CHILD, Axis.FSIB, Axis.PSIB)
+    verdicts = []
+    for d in dtds:
+        g = compile_dtd(d)
+        for _ in range(30):
+            steps = tuple(
+                Step(rng.choice(axes), rng.choice(d.labels)) for _ in range(rng.randint(1, 7))
+            )
+            p = Seq(steps) if len(steps) > 1 else steps[0]
+            one = eval1(g, p, trace=False).sat
+            two = any(_accepting(t, g) for t in eval2(g, p, starts={g.sentinel}))
+            assert one == two, (d.rules, render_xpath(p, arrows=True))
+            verdicts.append(one)
+    assert len(verdicts) == 1_890 and sum(verdicts) > 100, sum(verdicts)
+
+
 # ------------------------------------------------------------- compile once
 
 
@@ -553,7 +599,8 @@ def _join_by_definition(graph, p):
         left = Seq(p.steps[:-1]) if len(p.steps) > 2 else p.steps[0]
         right = p.steps[-1]
     else:
-        left, right = p.base, p.qual.path
+        left = Qual(p.base, p.quals[:-1]) if len(p.quals) > 1 else p.base
+        right = p.quals[-1].path
     t1s = eval2(graph, left)
     t2s = eval2(graph, right)
     out = set()
@@ -640,13 +687,11 @@ def _settling(graph, p, starts, full):
                 if i < len(q.steps) - 1:
                     left = filtered(Seq(q.steps[:i + 1]), s)
         elif isinstance(q, Qual):
-            base, quals = peel(q)
-            left = walk(base, s)
-            for i, qual in enumerate(quals):
+            left = walk(q.base, s)
+            for i, qual in enumerate(q.quals):
                 walk(qual.path, {t.end for t in left})
-                if i < len(quals) - 1:
-                    base = Qual(base, qual)
-                    left = filtered(base, s)
+                if i < len(q.quals) - 1:
+                    left = filtered(Qual(q.base, q.quals[:i + 1]), s)
         return filtered(q, s)
 
     walk(p, starts)

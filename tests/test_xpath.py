@@ -11,6 +11,7 @@ import pytest
 from xpathsat import ParseError, fragment_of, normalize, parse_xpath, render_xpath, size
 from xpathsat.xpath import Axis, QAnd, QOr, QPath, Qual, Seq, Step, Union, _tokenize
 
+from gens import _flat, _qualified
 from support import reference_tokenize
 
 
@@ -21,7 +22,7 @@ def test_parse_step_with_qualifier():
     got = parse_xpath("child::r/fsib::b[child::a]")
     want = Seq((
         Step(Axis.CHILD, "r"),
-        Qual(Step(Axis.FSIB, "b"), QPath(Step(Axis.CHILD, "a"))),
+        Qual(Step(Axis.FSIB, "b"), (QPath(Step(Axis.CHILD, "a")),)),
     ))
     assert got == want
 
@@ -49,7 +50,12 @@ def test_arrow_aliases():
 def test_union_aliases():
     a = parse_xpath("↓::a ∪ ↓::b")
     b = parse_xpath("child::a |u| child::b")
-    assert a == b == Union(Step(Axis.CHILD, "a"), Step(Axis.CHILD, "b"))
+    assert a == b == Union((Step(Axis.CHILD, "a"), Step(Axis.CHILD, "b")))
+    # `∪` is associative: a parenthesized union splices in
+    flat = Union(tuple(Step(Axis.CHILD, x) for x in "abc"))
+    assert parse_xpath("↓::a ∪ (↓::b ∪ ↓::c)") == flat
+    assert parse_xpath("(↓::a ∪ ↓::b) ∪ ↓::c") == flat
+    assert parse_xpath("↓::a ∪ ↓::b ∪ ↓::c") == flat
 
 
 def test_grouping():
@@ -63,20 +69,27 @@ def test_grouping():
     assert parse_xpath("↓::r/→⁺::b/↓::a/↑::b") == want
 
 
+def _q(label):
+    return QPath(Step(Axis.CHILD, label))
+
+
 def test_qualifier_chain_right_associative():
+    # `and` and `or` bind equally and group to the right; a run of one
+    # connective is one node
+    b, c, d = _q("b"), _q("c"), _q("d")
     got = parse_xpath("↓::a[↓::b and ↓::c and ↓::d]")
-    q = got.qual
-    assert isinstance(q, QAnd)
-    assert isinstance(q.right, QAnd)
+    assert got.quals == (QAnd((b, c, d)),)
     got2 = parse_xpath("↓::a[↓::b or ↓::c and ↓::d]")
-    assert isinstance(got2.qual, QOr)
-    assert isinstance(got2.qual.right, QAnd)
+    assert got2.quals == (QOr((b, QAnd((c, d)))),)
+    got3 = parse_xpath("↓::a[↓::b and ↓::c or ↓::d]")
+    assert got3.quals == (QAnd((b, QOr((c, d)))),)
 
 
 def test_stacked_qualifiers():
-    got = parse_xpath("↓::a[↓::b][↓::c]")
-    inner = Qual(Step(Axis.CHILD, "a"), QPath(Step(Axis.CHILD, "b")))
-    assert got == Qual(inner, QPath(Step(Axis.CHILD, "c")))
+    want = Qual(Step(Axis.CHILD, "a"), (_q("b"), _q("c")))
+    assert parse_xpath("↓::a[↓::b][↓::c]") == want
+    # a qualified group followed by more qualifiers is one stack
+    assert parse_xpath("(↓::a[↓::b])[↓::c]") == want
 
 
 @pytest.mark.parametrize(
@@ -147,23 +160,32 @@ def _seq(left, right):
     return Seq(tuple(parts))
 
 
+def _connected(operands, ands):
+    """The operands joined by `and` (where ands says so) or `or`, as the
+    parser builds them: grouped to the right, a run of one connective one node."""
+    q = operands[-1]
+    for op, is_and in zip(operands[-2::-1], ands):
+        kind = QAnd if is_and else QOr
+        q = kind((op, *q.items)) if isinstance(q, kind) else kind((op, q))
+    return q
+
+
 def _paths():
     steps = st.builds(Step, _axes, _labels)
     return st.recursive(
         steps,
         lambda kids: st.one_of(
             st.builds(_seq, kids, kids),
-            st.builds(Union, kids, kids),
-            st.builds(Qual, kids, st.builds(QPath, kids)),
+            st.builds(_flat, st.just(Union), kids, kids),
+            st.builds(_qualified, kids, st.builds(QPath, kids)),
             st.builds(
-                Qual,
+                _qualified,
                 kids,
-                st.builds(QAnd, st.builds(QPath, kids), st.builds(QPath, kids)),
-            ),
-            st.builds(
-                Qual,
-                kids,
-                st.builds(QOr, st.builds(QPath, kids), st.builds(QPath, kids)),
+                st.builds(
+                    _connected,
+                    st.lists(st.builds(QPath, kids), min_size=2, max_size=4),
+                    st.lists(st.booleans(), min_size=3, max_size=3),
+                ),
             ),
         ),
         max_leaves=8,
