@@ -13,7 +13,9 @@ is exact on the whole language, not on samples.
 
 from __future__ import annotations
 
+import re
 from collections import deque
+from collections.abc import Callable
 from dataclasses import dataclass
 from typing import Optional
 
@@ -133,84 +135,42 @@ def symbols(e: Expr) -> frozenset[str]:
 
 # --- parsing ---------------------------------------------------------------
 
-_SYMBOL_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_SYMBOL_CONT = _SYMBOL_START | set("0123456789.-")
+# The one label syntax: element names in DTDs, content models and tree terms,
+# and node tests in queries.  A lexer's token is a label iff it starts with
+# one of LABEL_START, which no operator does.
+LABEL = r"[A-Za-z_][A-Za-z0-9_.\-]*"
+is_label = re.compile(LABEL).fullmatch
+LABEL_START = frozenset(filter(is_label, map(chr, range(128))))
 
 
-def _tokenize_raw(text: str) -> list[str]:
-    """Maximal-munch tokens: operators and unbroken label runs."""
-    toks: list[str] = []
-    i = 0
-    while i < len(text):
-        c = text[i]
-        if c.isspace():
-            i += 1
-        elif c in "()|,*?+#":
-            toks.append(c)
-            i += 1
-        elif c in _SYMBOL_START:
-            j = i + 1
-            while j < len(text) and text[j] in _SYMBOL_CONT:
-                j += 1
-            toks.append(text[i:j])
-            i = j
-        else:
-            raise ParseError(f"unexpected character {c!r} in content model")
-    return toks
+def lexer(operators: str, what: str) -> Callable[[str], list[str]]:
+    """A maximal-munch tokenizer: tokens matching the `operators` pattern or
+    LABEL, with whitespace between them.  Any other character is a
+    ParseError that names `what`, the input being read."""
+    # one token, whitespace, or (second group) a character no token starts with
+    token = re.compile(rf"({operators}|{LABEL})|\s+|(.)")
+
+    def tokenize(text: str) -> list[str]:
+        found = token.findall(text)
+        for _, bad in found:
+            if bad:
+                raise ParseError(f"unexpected character {bad!r} in {what}")
+        return [tok for tok, _ in found if tok]
+    return tokenize
 
 
-def _segment(run: str, alphabet: Optional[frozenset[str]]) -> list[str]:
-    """Split a label run into labels.
-
-    Juxtaposition is the usual way to write concatenation ("a*ba*"), so a run
-    is a sequence of labels.  With a declared alphabet the run is segmented
-    into declared labels, longest prefix first; without one every character
-    stands for itself."""
-    if alphabet is None:
-        for c in run:
-            if c not in _SYMBOL_START:
-                raise ParseError(
-                    f"label run {run!r}: {c!r} cannot stand alone; "
-                    "multi-character labels need a declared alphabet"
-                )
-        return list(run)
-    best: list[list[str]] = []
-
-    def go(i: int, acc: list[str]) -> None:
-        if best:
-            return
-        if i == len(run):
-            best.append(list(acc))
-            return
-        for j in range(len(run), i, -1):
-            if run[i:j] in alphabet:
-                acc.append(run[i:j])
-                go(j, acc)
-                acc.pop()
-                if best:
-                    return
-
-    go(0, [])
-    if not best:
-        raise ParseError(f"cannot split {run!r} into declared labels")
-    return best[0]
+# operators and unbroken label runs
+tokenize = lexer(r"[()|,*?+#]", "content model")
 
 
-def _tokenize(text: str, alphabet: Optional[frozenset[str]]) -> list[str]:
-    toks: list[str] = []
-    for tok in _tokenize_raw(text):
-        if tok != "eps" and tok[0] in _SYMBOL_START:
-            toks.extend(_segment(tok, alphabet))
-        else:
-            toks.append(tok)
-    return toks
+class Cursor:
+    """Front-to-back reading of a token list; `what` names the input in
+    errors."""
 
-
-class _Parser:
-    def __init__(self, toks: list[str], alphabet: Optional[frozenset[str]]):
+    def __init__(self, toks: list[str], what: str):
         self.toks = toks
         self.pos = 0
-        self.alphabet = alphabet
+        self.what = what
 
     def peek(self) -> Optional[str]:
         return self.toks[self.pos] if self.pos < len(self.toks) else None
@@ -218,7 +178,7 @@ class _Parser:
     def take(self) -> str:
         tok = self.peek()
         if tok is None:
-            raise ParseError("unexpected end of content model")
+            raise ParseError(f"unexpected end of {self.what}")
         self.pos += 1
         return tok
 
@@ -227,6 +187,54 @@ class _Parser:
         if got != tok:
             raise ParseError(f"expected {tok!r}, got {got!r}")
 
+
+def _segment(run: str, alphabet: Optional[frozenset[str]]) -> list[str]:
+    """Split a label run into labels.
+
+    Juxtaposition is the usual way to write concatenation ("a*ba*"), so a run
+    is a sequence of labels.  With a declared alphabet the run is segmented
+    into declared labels, longest prefix first among those whose rest still
+    splits; without one every character stands for itself."""
+    if alphabet is None:
+        for c in run:
+            if c not in LABEL_START:
+                raise ParseError(
+                    f"label run {run!r}: {c!r} cannot stand alone; "
+                    "multi-character labels need a declared alphabet"
+                )
+        return list(run)
+    if run in alphabet:  # the longest prefix is the whole run
+        return [run]
+    n = len(run)
+    longest = max(map(len, alphabet), default=0)
+    # ends[i]: the end of the longest declared label at i after which the
+    # rest of the run splits too, filled right to left; 0 where none does
+    ends = [0] * n + [n]
+    for i in range(n - 1, -1, -1):
+        for j in range(min(n, i + longest), i, -1):
+            if ends[j] and run[i:j] in alphabet:
+                ends[i] = j
+                break
+    if not ends[0]:
+        raise ParseError(f"cannot split {run!r} into declared labels")
+    out, i = [], 0
+    while i < n:
+        out.append(run[i:ends[i]])
+        i = ends[i]
+    return out
+
+
+def _tokenize(text: str, alphabet: Optional[frozenset[str]]) -> list[str]:
+    toks: list[str] = []
+    for tok in tokenize(text):
+        if tok != "eps" and tok[0] in LABEL_START:
+            toks.extend(_segment(tok, alphabet))
+        else:
+            toks.append(tok)
+    return toks
+
+
+class _Parser(Cursor):
     def parse_expr(self) -> Expr:
         parts = [self.parse_seq()]
         while self.peek() == "|":
@@ -278,9 +286,7 @@ class _Parser:
             return e
         if tok == "eps":
             return EPSILON
-        if tok[0] in _SYMBOL_START:
-            if self.alphabet is not None and tok not in self.alphabet:
-                raise ParseError(f"undeclared label {tok!r} in content model")
+        if tok[0] in LABEL_START:  # segmented into declared labels already
             return Symbol(tok)
         raise ParseError(f"unexpected token {tok!r} in content model")
 
@@ -297,7 +303,7 @@ def parse_content_model(text: str, alphabet: Optional[frozenset[str]] = None) ->
     toks = _tokenize(text, alphabet)
     if not toks:
         raise ParseError("empty content model")
-    p = _Parser(toks, alphabet)
+    p = _Parser(toks, "content model")
     try:
         e = p.parse_expr()
     except RecursionError:
@@ -366,9 +372,9 @@ def _render(e: Expr, prec: int) -> str:
 def _edge_tokens(s: str) -> tuple[Optional[str], Optional[str]]:
     """First and last token of a rendered fragment, None where the edge is an
     operator or a parenthesis rather than a label."""
-    toks = _tokenize_raw(s)
-    first = toks[0] if toks[0][0] in _SYMBOL_START else None
-    last = toks[-1] if toks[-1][0] in _SYMBOL_START else None
+    toks = tokenize(s)
+    first = toks[0] if toks[0][0] in LABEL_START else None
+    last = toks[-1] if toks[-1][0] in LABEL_START else None
     return first, last
 
 

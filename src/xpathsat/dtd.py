@@ -16,10 +16,15 @@ names a root.  The class predicates below are purely syntactic:
 * mdf_dc: mrw with no ?, + or # anywhere.  This is the shape the schema
   graph construction consumes; `delta` maps any mrw model onto it without
   changing which label sets can co-occur below a node.
+
+`min_heights` gives the least height of a conforming tree per label.  The
+oracle's enumerator prunes with it, and `validate_no_useless` rejects the
+labels it finds no height for.
 """
 
 from __future__ import annotations
 
+from collections.abc import Container, Iterable
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -231,22 +236,40 @@ def validate_no_useless(d: Dtd) -> None:
     if unreachable:
         raise DtdError(f"unreachable labels: {', '.join(sorted(unreachable))}")
 
-    # a label is productive once some word of its model uses only productive
-    # labels; it is checked once, then again each time a label of its model
-    # becomes productive
-    productive: set[str] = set()
-    work = list(d.labels)
-    while work:
-        lbl = work.pop()
-        if lbl not in productive and _some_word_within(d.model(lbl), productive):
-            productive.add(lbl)
-            work.extend(users[lbl])
-    dead = [lbl for lbl in d.labels if lbl not in productive]
+    heights = _heights(d, users)
+    dead = [lbl for lbl in d.labels if lbl not in heights]
     if dead:
         raise DtdError(f"labels with no finite tree: {', '.join(sorted(dead))}")
 
 
-def _some_word_within(e: Expr, allowed: set[str]) -> bool:
+def min_heights(d: Dtd) -> dict[str, int]:
+    """Least height of a conforming tree per label (a lone leaf has height 1),
+    -1 for a label that heads no finite tree."""
+    users: dict[str, list[str]] = {}
+    for lbl in d.labels:
+        for s in cm.symbols(d.model(lbl)):
+            users.setdefault(s, []).append(lbl)
+    heights = _heights(d, users)
+    return {lbl: heights.get(lbl, -1) for lbl in d.labels}
+
+
+def _heights(d: Dtd, users: dict[str, list[str]]) -> dict[str, int]:
+    """The least tree height of every label that heads a finite tree, found
+    in layers.  A label of height k has a word over labels of height below k,
+    one of them of height k-1, so after the first layer only the users of the
+    labels found in the layer before are checked."""
+    heights: dict[str, int] = {}
+    layer: Iterable[str] = d.labels
+    k = 1
+    while layer:
+        found = [lbl for lbl in layer if _some_word_within(d.model(lbl), heights)]
+        heights.update(dict.fromkeys(found, k))
+        layer = {u for lbl in found for u in users.get(lbl, ()) if u not in heights}
+        k += 1
+    return heights
+
+
+def _some_word_within(e: Expr, allowed: Container[str]) -> bool:
     match e:
         case Epsilon():
             return True
@@ -292,9 +315,7 @@ def parse_dtd(text: str) -> Dtd:
             raise ParseError(f"line {lineno}: expected '<label> := <model>'")
         lhs, rhs = stripped.split(":=", 1)
         lhs = lhs.strip()
-        if not lhs or lhs[0] not in cm._SYMBOL_START or any(
-            c not in cm._SYMBOL_CONT for c in lhs
-        ):
+        if not cm.is_label(lhs):
             raise ParseError(f"line {lineno}: bad label {lhs!r}")
         if lhs == "eps":
             raise ParseError(f"line {lineno}: 'eps' is reserved")
@@ -356,6 +377,8 @@ def parse_xml_dtd(text: str, root: str | None = None) -> Dtd:
             parts = inner.split(None, 1)
             if len(parts) != 2:
                 raise ParseError(f"malformed element declaration: {inner!r}")
+            if not cm.is_label(parts[0]):
+                raise ParseError(f"bad label {parts[0]!r}")
             decls.append((parts[0], parts[1].strip()))
             i = end + 1
             continue

@@ -24,9 +24,9 @@ from math import inf, prod
 
 from . import content_model as cm
 from .content_model import (
-    Concat, Disj, Epsilon, Expr, Hash, Opt, Plus, Star, Symbol, expand_hash,
+    Concat, Disj, Epsilon, Expr, Opt, Plus, Star, Symbol, expand_hash,
 )
-from .dtd import Dtd
+from .dtd import Dtd, min_heights
 from .errors import ParseError
 from .xpath import Axis, Path, QAnd, QOr, QPath, Qexpr, Qual, Seq, Step, Union
 
@@ -58,37 +58,26 @@ def render_tree(t: DocTree) -> str:
 def parse_tree(text: str) -> DocTree:
     # labels in tree terms are whole tokens: children are always
     # comma-separated, so juxtaposition never appears here
-    toks = cm._tokenize_raw(text)
-    pos = [0]
-
-    def peek():
-        return toks[pos[0]] if pos[0] < len(toks) else None
-
-    def take():
-        tok = peek()
-        if tok is None:
-            raise ParseError("unexpected end of tree term")
-        pos[0] += 1
-        return tok
+    cur = cm.Cursor(cm.tokenize(text), "tree term")
 
     def term() -> DocTree:
-        label = take()
-        if not label or label[0] not in cm._SYMBOL_START:
+        label = cur.take()
+        if label[0] not in cm.LABEL_START:
             raise ParseError(f"bad node label {label!r}")
         children: list[DocTree] = []
-        if peek() == "(":
-            take()
+        if cur.peek() == "(":
+            cur.take()
             children.append(term())
-            while peek() == ",":
-                take()
+            while cur.peek() == ",":
+                cur.take()
                 children.append(term())
-            if take() != ")":
+            if cur.take() != ")":
                 raise ParseError("expected ')' in tree term")
         return DocTree(label, tuple(children))
 
     t = term()
-    if peek() is not None:
-        raise ParseError(f"trailing input in tree term: {peek()!r}")
+    if cur.peek() is not None:
+        raise ParseError(f"trailing input in tree term: {cur.peek()!r}")
     return t
 
 
@@ -274,44 +263,6 @@ def _words(e: Expr, rep: int) -> set[Word]:
                 reached |= acc
             return reached
     raise TypeError(f"not an expression: {e!r}")
-
-
-def min_heights(d: Dtd) -> dict[str, int]:
-    """Least height of a conforming tree per label (a lone leaf has height 1)."""
-    INF = float("inf")
-    h: dict[str, float] = {lbl: INF for lbl in d.labels}
-
-    def needed(e: Expr) -> float:
-        # least over words of the max height among the word's labels
-        match e:
-            case Epsilon():
-                return 0
-            case Symbol(name):
-                return h[name] if name in h else INF
-            case Concat(items):
-                return max((needed(it) for it in items), default=0)
-            case Disj(items):
-                return min(needed(it) for it in items)
-            case Star(_) | Opt(_):
-                return 0
-            case Plus(item):
-                return needed(item)
-            case Hash(left, right):
-                return min(
-                    max((needed(it) for it in left), default=0),
-                    max((needed(it) for it in right), default=0),
-                )
-        raise TypeError(f"not an expression: {e!r}")
-
-    changed = True
-    while changed:
-        changed = False
-        for lbl in d.labels:
-            v = 1 + needed(d.model(lbl))
-            if v < h[lbl]:
-                h[lbl] = v
-                changed = True
-    return {lbl: (int(v) if v != INF else -1) for lbl, v in h.items()}
 
 
 def iter_trees(d: Dtd, depth: int, rep: int) -> Iterator[DocTree]:

@@ -215,9 +215,6 @@ class Eval2Tuple(NamedTuple):
     rel: tuple[str, ...]
     rel_dfs: tuple[bool, ...]
 
-    def render(self) -> str:
-        return _row(self)[1]
-
 
 def _row(t: Eval2Tuple) -> tuple[tuple, str]:
     """The tuple's sort key and its text, each map rendered once."""

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from .content_model import (
     Concat, Disj, Epsilon, Expr, Star, Symbol, concat_of, render, symbol_counts,
 )
-from .dtd import Dtd, NotMRW, is_mdf_dc, is_mrw, top_factors, _label_star_scope
+from .dtd import Dtd, NotMRW, is_mdf_dc, is_mrw, top_factors
 from .errors import DtdError
 
 
@@ -39,12 +39,12 @@ class DcFactor:
 
 def dc_convert(e: Expr) -> tuple[DcFactor, ...]:
     """Factor list of the disjunction-free rewrite of an MDF/DC model."""
-    converted = _strip_disj(e)
-    counts, outside = _label_star_scope(e)
-    df = frozenset(lbl for lbl, n in counts.items() if n == 1)
-    dfs = frozenset(lbl for lbl in df if lbl in outside)
+    converted = top_factors(_strip_disj(e))
+    df = frozenset(lbl for lbl, n in symbol_counts(e).items() if n == 1)
+    # a lone-label factor is outside every star
+    dfs = df & frozenset(f.name for f in converted if isinstance(f, Symbol))
     factors = []
-    for i, f in enumerate(top_factors(converted), 1):
+    for i, f in enumerate(converted, 1):
         match f:
             case Symbol(name):
                 labels: tuple[str, ...] = (name,)

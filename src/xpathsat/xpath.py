@@ -24,9 +24,9 @@ qualified, and a run of one connective is one `QAnd` or `QOr`: `and` and
 from __future__ import annotations
 
 import enum
-import re
 from dataclasses import dataclass
 
+from . import content_model as cm
 from .errors import ParseError
 
 
@@ -105,44 +105,17 @@ Path = Step | Seq | Union | Qual
 
 # --- lexer -------------------------------------------------------------------
 
-_WORD_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-# one token, whitespace, or (second group) a character no token starts with
-_TOKEN = re.compile(
-    r"(::|\|u\||[↓↑]\*|[→←][⁺+]|[↓↑∪/\[\]()]|[A-Za-z_][A-Za-z0-9_.\-]*)|\s+|(.)"
-)
+_lex = cm.lexer(r"::|\|u\||[↓↑]\*|[→←][⁺+]|[↓↑∪/\[\]()]", "query")
 
 
 def _tokenize(text: str) -> list[str]:
-    found = _TOKEN.findall(text)
-    for _, bad in found:
-        if bad:
-            raise ParseError(f"unexpected character {bad!r} in query")
-    return ["|u|" if tok == "∪" else tok for tok, _ in found if tok]
+    return ["|u|" if tok == "∪" else tok for tok in _lex(text)]
 
 
 _AXIS_BY_NAME = {a.value: a for a in Axis}
 
 
-class _Parser:
-    def __init__(self, toks: list[str]):
-        self.toks = toks
-        self.pos = 0
-
-    def peek(self) -> str | None:
-        return self.toks[self.pos] if self.pos < len(self.toks) else None
-
-    def take(self) -> str:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of query")
-        self.pos += 1
-        return tok
-
-    def expect(self, tok: str) -> None:
-        got = self.take()
-        if got != tok:
-            raise ParseError(f"expected {tok!r}, got {got!r}")
-
+class _Parser(cm.Cursor):
     def parse_pathexpr(self) -> Path:
         items: list[Path] = []
         while True:
@@ -176,7 +149,7 @@ class _Parser:
                 raise ParseError(f"unknown axis {axis_tok!r}")
             self.expect("::")
             label = self.take()
-            if not label or label[0] not in _WORD_START:
+            if label[0] not in cm.LABEL_START:
                 raise ParseError(f"bad label {label!r}")
             p = Step(axis, label)
         if self.peek() != "[":
@@ -218,7 +191,7 @@ def parse_xpath(text: str) -> Path:
     toks = _tokenize(text)
     if not toks:
         raise ParseError("empty query")
-    p = _Parser(toks)
+    p = _Parser(toks, "query")
     try:
         out = p.parse_pathexpr()
     except RecursionError:

@@ -8,10 +8,12 @@
 * Schema-graph mappings of concrete trees and a bounded search for a tree
   that witnesses a requirement map, which cross-check `consistent`.
 * Earlier forms of package code that a faster form replaced, kept as
-  references: the character-by-character query lexer, the eval2 child and
-  sibling arms that probe every place, the eagerly traced eval2 verdict,
-  the oracle's per-tree query interpreter with the search over it, and the
-  requirement-map algebra built on a checking dataclass entry.
+  references: the character-by-character query and content-model lexers,
+  the backtracking label-run split, the rescan-until-fixpoint tree heights,
+  the eval2 child and sibling arms that probe every place, the eagerly
+  traced eval2 verdict, the oracle's per-tree query interpreter with the
+  search over it, and the requirement-map algebra built on a checking
+  dataclass entry.
 """
 
 from __future__ import annotations
@@ -22,7 +24,9 @@ from itertools import product
 from typing import Optional
 
 from xpathsat.constraints import DfsBits, Key, SibEntry, SibMap, coverable, psi
-from xpathsat.content_model import Expr, Nfa, symbol_counts
+from xpathsat.content_model import (
+    Concat, Disj, Epsilon, Expr, Hash, Nfa, Opt, Plus, Star, Symbol, symbol_counts,
+)
 from xpathsat.dtd import Dtd
 from xpathsat.errors import ParseError
 from xpathsat.oracle import DocTree, NodePath, Word, iter_trees
@@ -287,6 +291,94 @@ def reference_tokenize(text: str) -> list[str]:
             else:
                 raise ParseError(f"unexpected character {c!r} in query")
     return toks
+
+
+def reference_content_lexer(text: str) -> list[str]:
+    """The content-model lexer as it was before the single regular-expression
+    pass: operators and unbroken label runs, character by character."""
+    toks: list[str] = []
+    i = 0
+    while i < len(text):
+        c = text[i]
+        if c.isspace():
+            i += 1
+        elif c in "()|,*?+#":
+            toks.append(c)
+            i += 1
+        elif c in _WORD_START:
+            j = i + 1
+            while j < len(text) and text[j] in _WORD_CONT:
+                j += 1
+            toks.append(text[i:j])
+            i = j
+        else:
+            raise ParseError(f"unexpected character {c!r} in content model")
+    return toks
+
+
+def reference_segment(run: str, alphabet: frozenset[str]) -> list[str]:
+    """Label-run splitting as it was before the table of splittable suffixes:
+    a backtracking search, longest prefix first, whose time grows
+    exponentially on a run that cannot split."""
+    best: list[list[str]] = []
+
+    def go(i: int, acc: list[str]) -> None:
+        if best:
+            return
+        if i == len(run):
+            best.append(list(acc))
+            return
+        for j in range(len(run), i, -1):
+            if run[i:j] in alphabet:
+                acc.append(run[i:j])
+                go(j, acc)
+                acc.pop()
+                if best:
+                    return
+
+    go(0, [])
+    if not best:
+        raise ParseError(f"cannot split {run!r} into declared labels")
+    return best[0]
+
+
+def reference_min_heights(d: Dtd) -> dict[str, int]:
+    """`min_heights` as it was before it worked in layers: every model
+    rescanned until no height changes."""
+    INF = float("inf")
+    h: dict[str, float] = {lbl: INF for lbl in d.labels}
+
+    def needed(e: Expr) -> float:
+        # least over words of the max height among the word's labels
+        match e:
+            case Epsilon():
+                return 0
+            case Symbol(name):
+                return h[name] if name in h else INF
+            case Concat(items):
+                return max((needed(it) for it in items), default=0)
+            case Disj(items):
+                return min(needed(it) for it in items)
+            case Star(_) | Opt(_):
+                return 0
+            case Plus(item):
+                return needed(item)
+            case Hash(left, right):
+                return min(
+                    max((needed(it) for it in left), default=0),
+                    max((needed(it) for it in right), default=0),
+                )
+        raise TypeError(f"not an expression: {e!r}")
+
+    changed = True
+    while changed:
+        changed = False
+        for lbl in d.labels:
+            v = 1 + needed(d.model(lbl))
+            if v < h[lbl]:
+                h[lbl] = v
+                changed = True
+    return {lbl: (int(v) if v != INF else -1) for lbl, v in h.items()}
 
 
 def probing_child_arm(graph: SchemaGraph, label: str) -> tuple[Eval2Tuple, ...]:

@@ -434,6 +434,24 @@ def test_xml_dtd_classify(xml_file):
     assert "rule doc:" in out and "dtd:" in out
 
 
+@pytest.mark.parametrize("cmd,name", [("graph", "9r"), ("classify", "9b:c")])
+def test_xml_dtd_bad_element_name(tmp_path, cmd, name):
+    p = tmp_path / "bad.xml"
+    p.write_text(f"<!ELEMENT {name} EMPTY>\n")
+    code, out, err = run([cmd, "--dtd", str(p), "--format", "xml-dtd"])
+    assert (code, out) == (2, "")
+    assert f"bad label {name!r}" in err
+
+
+def test_classify_long_label_run(tmp_path):
+    # a run of 3,000 labels once overflowed the recursion of the split
+    p = tmp_path / "run.dtd"
+    p.write_text("root r\nr := " + "a" * 3_000 + "\na := eps\n")
+    code, out, err = run(["classify", "--dtd", str(p)])
+    assert (code, err) == (0, "")
+    assert "rule r: df=no dc=yes" in out
+
+
 # ------------------------------------------------------------------- plumbing
 
 

@@ -5,6 +5,8 @@ recursion written here from the operator definitions, so the automaton
 code never vouches for itself.
 """
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -13,9 +15,14 @@ from xpathsat import (
     equivalence_counterexample, equivalent, expand_hash,
     matches, parse_content_model, render,
 )
-from xpathsat.content_model import concat_of, disj_of, symbol_counts, symbols
+from xpathsat.content_model import (
+    _segment, concat_of, disj_of, symbol_counts, symbols, tokenize,
+)
 
-from support import enumerate_words, subsequence_matches, subsequence_preserves
+from support import (
+    enumerate_words, reference_content_lexer, reference_segment,
+    subsequence_matches, subsequence_preserves,
+)
 
 
 def _concat_match(items, w) -> bool:
@@ -129,6 +136,68 @@ def test_parse_errors():
     with pytest.raises(ParseError, match="cannot split|undeclared"):
         parse_content_model("ab", frozenset({"a"}))
     assert parse_content_model("a1b", frozenset({"a1b"})) == Symbol("a1b")
+
+
+# single characters, whitespace among them, plus whole tokens so that many
+# strings lex cleanly
+_LEX_ALPHABET = list("()|,*?+#aZ_09.- \t\n\x1c\x85\xa0\u3000é!") + [
+    "eps", "item", "x.1-b",
+]
+
+
+def _lex(lexer, text):
+    try:
+        return lexer(text)
+    except ParseError as exc:
+        return f"ParseError: {exc}"
+
+
+def test_tokenize_matches_the_reference_lexer():
+    rng = random.Random(2026)
+    outcomes = {"tokens": 0, "error": 0}
+    for _ in range(20_000):
+        text = "".join(rng.choices(_LEX_ALPHABET, k=rng.randint(0, 12)))
+        got = _lex(tokenize, text)
+        assert got == _lex(reference_content_lexer, text), repr(text)
+        outcomes["error" if isinstance(got, str) else "tokens"] += 1
+    assert min(outcomes.values()) > 2_000, outcomes
+
+
+def test_segment_matches_the_backtracking_split():
+    rng = random.Random(1119)
+    outcomes = {"split": 0, "error": 0}
+    for _ in range(20_000):
+        alphabet = frozenset(
+            "".join(rng.choices("ab", k=rng.randint(1, 3)))
+            for _ in range(rng.randint(1, 4))
+        )
+        run = "".join(rng.choices("ab", k=rng.randint(1, 9)))
+        got = _lex(lambda r: _segment(r, alphabet), run)
+        assert got == _lex(lambda r: reference_segment(r, alphabet), run), (run, alphabet)
+        outcomes["error" if isinstance(got, str) else "split"] += 1
+    assert min(outcomes.values()) > 2_000, outcomes
+
+
+def test_long_label_run_splits():
+    # the backtracking split recursed once per label and overflowed here
+    e = parse_content_model("a" * 3_000, frozenset({"a", "aa"}))
+    assert e == Concat((Symbol("aa"),) * 1_500)
+
+
+class _CountingAlphabet(frozenset):
+    def __contains__(self, label):
+        self.lookups += 1
+        return super().__contains__(label)
+
+
+def test_unsplittable_label_run_fails_fast():
+    # the backtracking split tried about 1.6**n ways to split this run
+    run = "a" * 200 + "x"
+    alphabet = _CountingAlphabet({"a", "aa"})
+    alphabet.lookups = 0
+    with pytest.raises(ParseError, match=f"cannot split '{run}' into declared labels"):
+        parse_content_model(run, alphabet)
+    assert alphabet.lookups <= 3 * len(run)
 
 
 def test_render_fixpoints():

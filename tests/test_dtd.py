@@ -1,6 +1,7 @@
 """DTD classification, normalization, parsing, and sanity checks."""
 
 import random
+import re
 
 import pytest
 
@@ -11,11 +12,15 @@ from xpathsat import (
     parse_content_model, parse_dtd, parse_xml_dtd, render, render_dtd,
     validate_no_useless,
 )
-from xpathsat import dtd as dtd_module
+from xpathsat import dtd as dtd_module, oracle as oracle_module
 from xpathsat.content_model import concat_of, disj_of, symbols
+from xpathsat.dtd import min_heights
 
-from gens import random_content_model, random_mdf_dc_dtd, random_mrw_model
-from support import subsequence_preserves
+from gens import (
+    random_content_model, random_mdf_dc_dtd, random_mrw_model,
+    random_recursive_mdf_dc_dtd,
+)
+from support import reference_min_heights, subsequence_preserves
 
 F3 = "(a|b)*(c(a|b)*(d(a|b)*)?|d(a|b)*c(a|b)*)"
 
@@ -288,6 +293,26 @@ def test_validate_productivity_is_linear_on_a_top_down_chain(monkeypatch):
     assert calls > 10 * total  # the reference really is quadratic here
 
 
+def test_min_heights_match_the_rescan():
+    rng = random.Random(4411)
+    labels = ("r", "a", "b", "c", "d")
+    seen: set[int] = set()
+    for _ in range(400):
+        # models with ?, +, #, stars and, now and then, an undeclared label;
+        # some labels head no finite tree
+        alphabet = labels + ("z",) if rng.random() < 0.1 else labels
+        rules = {lbl: random_content_model(rng, alphabet, depth=2) for lbl in labels}
+        d = Dtd("r", rules)
+        got = min_heights(d)
+        assert got == reference_min_heights(d), rules
+        seen.update(got.values())
+    for _ in range(50):
+        d = random_recursive_mdf_dc_dtd(rng)
+        assert min_heights(d) == reference_min_heights(d), d.rules
+    assert {-1, 1, 2, 3} <= seen, seen
+    assert oracle_module.min_heights is min_heights
+
+
 # --- native format ----------------------------------------------------------------
 
 def test_parse_dtd_worked_example():
@@ -367,6 +392,16 @@ def test_parse_xml_dtd_rejections():
         parse_xml_dtd("<!-- root: r --><!ELEMENT r (#PCDATA|a)*><!ELEMENT a EMPTY>")
     with pytest.raises(ParseError):
         parse_xml_dtd('<!ENTITY x "y"><!-- root: r --><!ELEMENT r EMPTY>')
+
+
+@pytest.mark.parametrize("name", ["9r", "9b:c", "-a", ".x", "a:b", "é"])
+def test_xml_element_names_follow_the_label_syntax(name):
+    # the native format rejects the same names
+    with pytest.raises(ParseError, match=re.escape(f"bad label {name!r}")):
+        parse_dtd(f"{name} := eps\n")
+    with pytest.raises(ParseError, match=re.escape(f"bad label {name!r}")):
+        parse_xml_dtd(f"<!ELEMENT {name} EMPTY>")
+    assert parse_xml_dtd("<!ELEMENT a.b-9_ EMPTY>").root == "a.b-9_"
 
 
 def test_parse_xml_dtd_root_resolution():
