@@ -379,6 +379,8 @@ def parse_xml_dtd(text: str, root: str | None = None) -> Dtd:
                 raise ParseError(f"malformed element declaration: {inner!r}")
             if not cm.is_label(parts[0]):
                 raise ParseError(f"bad label {parts[0]!r}")
+            if parts[0] == "eps":
+                raise ParseError("'eps' is reserved")
             decls.append((parts[0], parts[1].strip()))
             i = end + 1
             continue

@@ -55,10 +55,13 @@ def render_tree(t: DocTree) -> str:
     return f"{t.label}({','.join(render_tree(c) for c in t.children)})"
 
 
+# labels in tree terms are whole tokens: children are always
+# comma-separated, so juxtaposition never appears here
+_tree_tokens = cm.lexer(r"[(),]", "tree term")
+
+
 def parse_tree(text: str) -> DocTree:
-    # labels in tree terms are whole tokens: children are always
-    # comma-separated, so juxtaposition never appears here
-    cur = cm.Cursor(cm.tokenize(text), "tree term")
+    cur = cm.Cursor(_tree_tokens(text), "tree term")
 
     def term() -> DocTree:
         label = cur.take()

@@ -3,9 +3,13 @@
 Two complete procedures, each polynomial on its fragment:
 
 * `eval1` handles qualifier-free step sequences along child, parent and the
-  two sibling axes.  It walks the schema graph keeping, per depth, the set of
-  places the current node might occupy, plus a sibling-requirement map keyed
-  by the absolute label path.
+  two sibling axes.  It walks the schema graph keeping one frame per
+  document node the walk visits: the set of places that node might occupy,
+  the child labels demanded below it, and the child frames still bound to
+  it; a stack holds the frames from the root to the current node.  Each
+  step costs the same however long the query, and two siblings with one
+  label are two frames.  Label-path keys are rendered only for a trace and
+  for a verdict's `beta`.
 
 * `eval2` handles child and sibling steps with nested qualifiers (after
   conjunctions are split).  It computes, per subexpression, the set of
@@ -16,23 +20,23 @@ Two complete procedures, each polynomial on its fragment:
   root place alone; a traced run, and a call without start places, still
   covers every context.
 
-Both report UNSAT exactly when every candidate run dies, either by running
-out of admissible places or by demanding children no single content-model
-word provides.
+Both report UNSAT when every candidate run dies, either by running out of
+admissible places or by demanding children no single content-model word
+provides.
 
-Known incompleteness: requirements are keyed by label path, so two siblings
-with one label share one entry and a satisfiable query can come back UNSAT.
-Under `r := r*(b|c)r*` (b and c empty), `↓::r/↓::b/↑::r/←⁺::r/↓::c` reads
-UNSAT although the document r(b,r(c),r(b)) matches it."""
+Known incompleteness: eval2 keys requirements by label path, so two
+siblings with one label share one entry and a satisfiable query can come
+back UNSAT.  Under `r := r*(b|c)r*` (b and c empty), `↓::r[↓::b]/←⁺::r[↓::c]`
+and `↓::r[↓::b]/→⁺::r/↓::c` read UNSAT although r(b,r(c),r(b)) and
+r(b,r(b),r(c)) match them."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import AbstractSet, NamedTuple, Optional
 
 from .constraints import (
-    DfsBits, Key, SibEntry, SibMap, consistent, coverable, psi,
-    render_key, render_map, surviving,
+    DfsBits, Key, SibEntry, SibMap, consistent, coverable, psi, render_key, render_map,
 )
 from .dtd import Dtd, delta_dtd, validate_no_useless
 from .errors import UnsupportedFragment
@@ -59,30 +63,48 @@ _RENDERED = ("final_state", "reason", "trace")
 class Verdict:
     """A decision and how it was reached.  One from `satisfiable` holds its
     graph and normalized query in place of trace, final_state and reason
-    until one of them is read, then renders all three by one traced re-run."""
+    until one of them is read, then renders all three by one traced re-run.
+
+    levels and beta are set on an eval1 SAT only.  An untraced run holds its
+    final frames in their place and builds both from them on first read:
+    the map's label-path keys together grow with the square of the query's
+    length.  A copy or pickle holds them built."""
 
     sat: bool
     algorithm: str
     final_state: Optional[str]  # eval1 renders it only on traced runs
     reason: Optional[str]
     trace: tuple[str, ...]
-    levels: Optional[tuple[Level, ...]] = None  # eval1, on SAT
-    beta: Optional[SibMap] = None               # eval1, on SAT
+    # default factories leave no class attribute, so a deferred field
+    # missing from the instance reaches __getattr__
+    levels: Optional[tuple[Level, ...]] = field(default_factory=lambda: None)  # eval1, on SAT
+    beta: Optional[SibMap] = field(default_factory=lambda: None)               # eval1, on SAT
 
     def __getattr__(self, name: str):
         # reached only for a field missing from the instance: a deferred one
-        run = vars(self).get("_run")
-        if name not in _RENDERED or run is None:
+        state = vars(self)
+        if name in _RENDERED and "_run" in state:
+            traced = (eval1 if self.algorithm == "eval1" else _traced_eval2)(*state["_run"])
+            state.update({f: getattr(traced, f) for f in _RENDERED})
+        elif name in ("levels", "beta") and "_frames" in state:
+            stack = state.pop("_frames")
+            state.update(levels=_levels(stack), beta=_beta(stack[0]))
+        else:
             raise AttributeError(name)
-        traced = (eval1 if self.algorithm == "eval1" else _traced_eval2)(*run)
-        vars(self).update({f: getattr(traced, f) for f in _RENDERED})
-        return vars(self)[name]
+        return state[name]
+
+    def __getstate__(self) -> dict:
+        # a copy or pickle holds levels and beta, not the frames of the run
+        getattr(self, "levels")
+        return vars(self)
 
 
-def _deferred(run: tuple, sat: bool, algorithm: str, levels=None, beta=None) -> Verdict:
-    """A verdict whose _RENDERED fields come from a traced run on (graph, p)."""
+def _partial(**state) -> Verdict:
+    """A verdict holding `state`; each field it leaves out is deferred: the
+    _RENDERED ones to a traced run on `_run` = (graph, p), levels and beta to
+    the frames `_frames` from the root to where an eval1 run ended."""
     v = object.__new__(Verdict)
-    vars(v).update(sat=sat, algorithm=algorithm, levels=levels, beta=beta, _run=run)
+    vars(v).update(state)
     return v
 
 
@@ -102,33 +124,83 @@ def _admissible(u: SgNode, v: SgNode, axis: Axis) -> bool:
     return v.pos < u.pos if u.omega == "-" else v.pos <= u.pos
 
 
-def _as_map(bmap: dict[Key, SibEntry]) -> SibMap:
-    return SibMap(tuple(bmap[key] for key in sorted(bmap)))
+class _Frame:
+    """One document node an eval1 run visits: its level, the labels demanded
+    among its children (None until a step goes down from it) and, by label,
+    the child frames still bound to it.  Its label path and dfs bits from the
+    root are built only to render a map.  A frame holds no link to its
+    parent, so a run's frames are freed as soon as it ends."""
+
+    __slots__ = ("level", "need", "kids", "path")
+
+    def __init__(self, level: Level):
+        self.level = level
+        self.need: Optional[frozenset[str]] = None
+        self.kids: dict[str, _Frame] = {}
+        self.path: Optional[tuple[Key, DfsBits]] = None
+
+    def release(self, kid: _Frame) -> None:
+        """The run moves off `kid`, a child of this frame.  A dfs child is
+        the same node in every placement, so it stays bound with its demands;
+        any other can be a fresh witness next time, so it and everything
+        below it let go."""
+        if not kid.level.dfs:
+            del self.kids[kid.level.label]
+
+
+def _levels(stack: list[_Frame]) -> tuple[Level, ...]:
+    return tuple(f.level for f in stack)
+
+
+def _beta(root: _Frame) -> SibMap:
+    """The map of the demands still bound below root, keyed by label path:
+    one entry per bound frame that a step went down from."""
+    if root.path is None:
+        root.path = ((root.level.label,), (root.level.dfs,))
+    entries = []
+    todo = [root]
+    while todo:
+        f = todo.pop()
+        key, bits = f.path
+        if f.need is not None:
+            entries.append(SibEntry(key, f.need, bits))
+        for kid in f.kids.values():
+            if kid.path is None:  # kept for the next step a traced run renders
+                kid.path = (key + (kid.level.label,), bits + (kid.level.dfs,))
+            todo.append(kid)
+    # live frames have distinct label paths: a non-dfs frame lets go before
+    # a same-label sibling enters, and a dfs label has no same-label sibling
+    return SibMap(tuple(sorted(entries)))
 
 
 def eval1(graph: SchemaGraph, p: Path, trace: bool = True) -> Verdict:
-    """Walk the query over the schema graph, one step at a time.
+    """Walk the query over the schema graph, one step at a time, keeping one
+    frame per document node the walk visits (see `_Frame`) and the stack of
+    frames from the root to the current node.
+
+    A child step adds the target's df label to the current frame's demands
+    and enters the child frame kept for that label if it is dfs (the same
+    node), else a fresh one.  A parent step leaves the current frame.  A
+    sideways step adds the sibling's demand to the parent frame, leaves the
+    current frame and then enters the sibling's, so two siblings with one
+    label are two frames.  Each step costs the same however long the run,
+    and only the frame a step adds to needs a fresh coverability check.
 
     With trace=False no state strings are rendered at all (final_state comes
     back None, the trace is empty and an uncoverable reason names only the
-    key); the verdict, levels and map are the same either way.  `satisfiable`
-    decides untraced and renders the traced fields on first read, by one
-    traced re-run.  The requirement map lives in a plain dict here: a step
-    touches one entry, so only that entry needs a fresh coverability check,
-    and a child step never unpins anything (the current path only extends),
-    so the restriction pass runs only on upward and sideways moves."""
+    key), and a SAT verdict renders levels and map on first read from the
+    final stack; the verdict, levels and map are the same either way.
+    `satisfiable` decides untraced and renders the traced fields on first
+    read, by one traced re-run."""
     d = graph.dtd
     steps = p.steps if isinstance(p, Seq) else (p,)
     for step in steps:
         if not isinstance(step, Step):
             raise UnsupportedFragment(f"not a plain step sequence: {render_xpath(step)}")
-    levels: tuple[Level, ...] = (Level(d.root, (graph.sentinel,), True),)
-    path: Key = (d.root,)
-    bits: DfsBits = (True,)
-    bmap: dict[Key, SibEntry] = {}
+    stack = [_Frame(Level(d.root, (graph.sentinel,), True))]  # root to current node
     lines: list[str] = []
     if trace:
-        lines.append(f"start: {render_state(levels, _as_map(bmap))}")
+        lines.append(f"start: {render_state(_levels(stack), _beta(stack[0]))}")
 
     def unsat(line: Optional[str], reason: str) -> Verdict:
         if trace:
@@ -140,64 +212,65 @@ def eval1(graph: SchemaGraph, p: Path, trace: bool = True) -> Verdict:
         return unsat(f"{s} → ∅ (no admissible place)", reason)
 
     for step in steps:
-        s = f"{ARROW[step.axis]}::{step.label}"
+        s = f"{ARROW[step.axis]}::{step.label}" if trace else ""  # only traces show it
+        cur = stack[-1]
         if step.axis is Axis.PARENT:
-            if len(levels) == 1:
+            if len(stack) == 1:
                 return nowhere("no parent above the root")
-            if levels[-2].label != step.label:
-                return nowhere(f"parent is labeled {levels[-2].label!r}, not {step.label!r}")
-            levels, path, bits = levels[:-1], path[:-1], bits[:-1]
-            bmap = {e.key: e for e in surviving(bmap.values(), path)}
+            up = stack[-2]
+            if up.level.label != step.label:
+                return nowhere(f"parent is labeled {up.level.label!r}, not {step.label!r}")
+            up.release(stack.pop())
         elif step.axis in (Axis.CHILD, Axis.FSIB, Axis.PSIB):
             # a sideways step replaces the current node by a sibling, so it
             # lands below the parent and demands its label there
             sideways = step.axis is not Axis.CHILD
-            if sideways and len(levels) == 1:
+            if sideways and len(stack) == 1:
                 return nowhere("the root has no siblings")
-            base = levels[:-1] if sideways else levels
-            targets = graph.children_with_label(base[-1].label, step.label)
+            at = stack[-2] if sideways else cur
+            targets = graph.children_with_label(at.level.label, step.label)
             if sideways:
                 targets = tuple(
                     v for v in targets
-                    if any(_admissible(u, v, step.axis) for u in levels[-1].nodes)
+                    if any(_admissible(u, v, step.axis) for u in cur.level.nodes)
                 )
             if not targets:
                 return nowhere(
                     f"no admissible sibling labeled {step.label!r}" if sideways
-                    else f"no place labeled {step.label!r} below {levels[-1].label!r}"
+                    else f"no place labeled {step.label!r} below {cur.level.label!r}"
                 )
-            key, kbits = (path[:-1], bits[:-1]) if sideways else (path, bits)
             values = psi(targets[0])
-            stored = bmap.get(key)
-            if stored is not None:
-                assert stored.dfs == kbits, f"dfs mismatch on key {key}"
-                values = stored.values | values
-            bmap[key] = SibEntry(key, values, kbits)
-            new_level = Level(step.label, targets, len(targets) == 1 and targets[0].is_dfs)
-            levels = base + (new_level,)
-            if values and not coverable(d.covers[key[-1]], values):
+            at.need = values if at.need is None else at.need | values
+            level = Level(step.label, targets, len(targets) == 1 and targets[0].is_dfs)
+            if values and not coverable(d.covers[at.level.label], at.need):
+                base = stack[:-1] if sideways else stack
                 if trace:
-                    beta = _as_map(bmap)
+                    beta = _beta(stack[0])
                     return unsat(
-                        f"{s} → {render_state(levels, beta)} inconsistent",
+                        f"{s} → {render_state(_levels(base) + (level,), beta)} inconsistent",
                         f"requirements {render_map(beta)} are not coverable",
                     )
+                key = tuple(f.level.label for f in base)
                 return unsat(None, f"requirements at {render_key(key)} are not coverable")
-            path, bits = key + (step.label,), kbits + (new_level.dfs,)
             if sideways:
-                bmap = {e.key: e for e in surviving(bmap.values(), path)}
+                at.release(stack.pop())
+            # only a dfs child stays bound once left, and a dfs child is the
+            # one node of its label below `at`
+            kid = at.kids.get(step.label)
+            if kid is None:
+                kid = at.kids[step.label] = _Frame(level)
+            stack.append(kid)
         else:
             raise UnsupportedFragment(f"axis {step.axis.value} is outside eval1")
         if trace:
-            lines.append(f"{s} → {render_state(levels, _as_map(bmap))}")
+            lines.append(f"{s} → {render_state(_levels(stack), _beta(stack[0]))}")
 
-    beta = _as_map(bmap)
-    if trace:
-        lines.append("verdict: SAT")
-    return Verdict(
-        True, "eval1", render_state(levels, beta) if trace else None, None,
-        tuple(lines), levels, beta,
-    )
+    if not trace:
+        return _partial(sat=True, algorithm="eval1", final_state=None, reason=None,
+                        trace=(), _frames=stack)
+    levels, beta = _levels(stack), _beta(stack[0])
+    lines.append("verdict: SAT")
+    return Verdict(True, "eval1", render_state(levels, beta), None, tuple(lines), levels, beta)
 
 
 # --- eval2 -------------------------------------------------------------------
@@ -408,9 +481,11 @@ def satisfiable(d: Dtd, query: Path | str) -> Verdict:
     graph, p, frag = _routed(d, query)
     if frag == "eval1":
         v = eval1(graph, p, trace=False)
-        return _deferred((graph, p), v.sat, "eval1", v.levels, v.beta)
+        kept = {f: x for f, x in vars(v).items() if f not in _RENDERED}
+        return _partial(**kept, _run=(graph, p))
     roots = eval2(graph, p, starts={graph.sentinel})
-    return _deferred((graph, p), any(_accepting(t, graph) for t in roots), "eval2")
+    return _partial(sat=any(_accepting(t, graph) for t in roots), algorithm="eval2",
+                    levels=None, beta=None, _run=(graph, p))
 
 
 def _traced_verdict(d: Dtd, query: Path | str) -> Verdict:

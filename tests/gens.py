@@ -310,6 +310,38 @@ def random_full_query(rng, labels, depth=2) -> Path:
     return path(depth)
 
 
+def random_doc_walk(rng, t, max_steps=40) -> Path:
+    """A query that walks document t (a tree of `oracle.iter_trees`, whose
+    root has a child) from its root: 1 to max_steps random child, parent,
+    following- and preceding-sibling moves, each step labeled with the node
+    it reaches.  The walk may move between siblings of one label, and t
+    witnesses that the query is satisfiable."""
+    path = [t]      # the nodes from the root to the current one
+    index = []      # the current node's position among its siblings, per level
+    steps: list[Step] = []
+    for _ in range(rng.randint(1, max_steps)):
+        node = path[-1]
+        sibs = path[-2].children if len(path) > 1 else ()
+        moves = [axis for axis, ok in (
+            (Axis.CHILD, node.children), (Axis.PARENT, len(path) > 1),
+            (Axis.FSIB, index and index[-1] < len(sibs) - 1),
+            (Axis.PSIB, index and index[-1] > 0),
+        ) if ok]
+        axis = rng.choice(moves)
+        if axis is Axis.CHILD:
+            index.append(rng.randrange(len(node.children)))
+            path.append(node.children[index[-1]])
+        elif axis is Axis.PARENT:
+            index.pop()
+            path.pop()
+        else:
+            lo, hi = (index[-1] + 1, len(sibs)) if axis is Axis.FSIB else (0, index[-1])
+            index[-1] = rng.randrange(lo, hi)
+            path[-1] = sibs[index[-1]]
+        steps.append(Step(axis, path[-1].label))
+    return _seq(steps)
+
+
 # --- sibling-constraint maps ---------------------------------------------------
 
 def random_sibmap(rng, d: Dtd, graph) -> SibMap:

@@ -12,8 +12,9 @@
   the backtracking label-run split, the rescan-until-fixpoint tree heights,
   the eval2 child and sibling arms that probe every place, the eagerly
   traced eval2 verdict, the oracle's per-tree query interpreter with the
-  search over it, and the requirement-map algebra built on a checking
-  dataclass entry.
+  search over it, the requirement-map algebra built on a checking
+  dataclass entry, and the eval1 walk that keyed requirements by label
+  path.
 """
 
 from __future__ import annotations
@@ -23,16 +24,22 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Optional
 
-from xpathsat.constraints import DfsBits, Key, SibEntry, SibMap, coverable, psi
+from xpathsat.constraints import (
+    DfsBits, Key, SibEntry, SibMap, coverable, psi, render_key, render_map, surviving,
+)
 from xpathsat.content_model import (
     Concat, Disj, Epsilon, Expr, Hash, Nfa, Opt, Plus, Star, Symbol, symbol_counts,
 )
 from xpathsat.dtd import Dtd
-from xpathsat.errors import ParseError
+from xpathsat.errors import ParseError, UnsupportedFragment
 from xpathsat.oracle import DocTree, NodePath, Word, iter_trees
-from xpathsat.sat_checker import Eval2Tuple, Verdict, _accepting, _admissible, _row, eval2
+from xpathsat.sat_checker import (
+    Eval2Tuple, Level, Verdict, _accepting, _admissible, _row, eval2, render_state,
+)
 from xpathsat.schema_graph import SchemaGraph, SgNode, build_schema_graph
-from xpathsat.xpath import Axis, Path, QAnd, QOr, QPath, Qexpr, Qual, Seq, Step, Union
+from xpathsat.xpath import (
+    ARROW, Axis, Path, QAnd, QOr, QPath, Qexpr, Qual, Seq, Step, Union, render_xpath,
+)
 
 
 def node_at(t: DocTree, path: NodePath) -> DocTree:
@@ -575,4 +582,97 @@ def reference_consistent(m: SibMap, d: Dtd) -> bool:
     """`consistent` with every label set decided afresh, nothing remembered."""
     return all(
         coverable(d.model(e.key[-1]), e.values) for e in m.entries if e.key
+    )
+
+
+# --- eval1 before frames ------------------------------------------------------
+
+def _as_map(bmap: dict[Key, SibEntry]) -> SibMap:
+    return SibMap(tuple(bmap[key] for key in sorted(bmap)))
+
+
+def label_path_eval1(graph: SchemaGraph, p: Path, trace: bool = True) -> Verdict:
+    """`eval1` as it was before frames: requirements in a dict keyed by
+    absolute label path, every level, path and dfs-bit tuple copied per
+    step, and `surviving` run over the whole map after every parent and
+    sideways step.  Two siblings with one label share one key, so a
+    satisfiable query can read UNSAT here."""
+    d = graph.dtd
+    steps = p.steps if isinstance(p, Seq) else (p,)
+    for step in steps:
+        if not isinstance(step, Step):
+            raise UnsupportedFragment(f"not a plain step sequence: {render_xpath(step)}")
+    levels: tuple[Level, ...] = (Level(d.root, (graph.sentinel,), True),)
+    path: Key = (d.root,)
+    bits: DfsBits = (True,)
+    bmap: dict[Key, SibEntry] = {}
+    lines: list[str] = []
+    if trace:
+        lines.append(f"start: {render_state(levels, _as_map(bmap))}")
+
+    def unsat(line: Optional[str], reason: str) -> Verdict:
+        if trace:
+            lines.append(line)
+            lines.append("verdict: UNSAT")
+        return Verdict(False, "eval1", line if trace else None, reason, tuple(lines))
+
+    def nowhere(reason: str) -> Verdict:
+        return unsat(f"{s} → ∅ (no admissible place)", reason)
+
+    for step in steps:
+        s = f"{ARROW[step.axis]}::{step.label}"
+        if step.axis is Axis.PARENT:
+            if len(levels) == 1:
+                return nowhere("no parent above the root")
+            if levels[-2].label != step.label:
+                return nowhere(f"parent is labeled {levels[-2].label!r}, not {step.label!r}")
+            levels, path, bits = levels[:-1], path[:-1], bits[:-1]
+            bmap = {e.key: e for e in surviving(bmap.values(), path)}
+        elif step.axis in (Axis.CHILD, Axis.FSIB, Axis.PSIB):
+            sideways = step.axis is not Axis.CHILD
+            if sideways and len(levels) == 1:
+                return nowhere("the root has no siblings")
+            base = levels[:-1] if sideways else levels
+            targets = graph.children_with_label(base[-1].label, step.label)
+            if sideways:
+                targets = tuple(
+                    v for v in targets
+                    if any(_admissible(u, v, step.axis) for u in levels[-1].nodes)
+                )
+            if not targets:
+                return nowhere(
+                    f"no admissible sibling labeled {step.label!r}" if sideways
+                    else f"no place labeled {step.label!r} below {levels[-1].label!r}"
+                )
+            key, kbits = (path[:-1], bits[:-1]) if sideways else (path, bits)
+            values = psi(targets[0])
+            stored = bmap.get(key)
+            if stored is not None:
+                assert stored.dfs == kbits, f"dfs mismatch on key {key}"
+                values = stored.values | values
+            bmap[key] = SibEntry(key, values, kbits)
+            new_level = Level(step.label, targets, len(targets) == 1 and targets[0].is_dfs)
+            levels = base + (new_level,)
+            if values and not coverable(d.covers[key[-1]], values):
+                if trace:
+                    beta = _as_map(bmap)
+                    return unsat(
+                        f"{s} → {render_state(levels, beta)} inconsistent",
+                        f"requirements {render_map(beta)} are not coverable",
+                    )
+                return unsat(None, f"requirements at {render_key(key)} are not coverable")
+            path, bits = key + (step.label,), kbits + (new_level.dfs,)
+            if sideways:
+                bmap = {e.key: e for e in surviving(bmap.values(), path)}
+        else:
+            raise UnsupportedFragment(f"axis {step.axis.value} is outside eval1")
+        if trace:
+            lines.append(f"{s} → {render_state(levels, _as_map(bmap))}")
+
+    beta = _as_map(bmap)
+    if trace:
+        lines.append("verdict: SAT")
+    return Verdict(
+        True, "eval1", render_state(levels, beta) if trace else None, None,
+        tuple(lines), levels, beta,
     )

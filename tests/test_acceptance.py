@@ -445,3 +445,27 @@ def test_criterion_10_complexity_smoke():
         )
 
     _report(10, None, body)
+
+
+# ------------------------------------------------- 11: eval1 on long chains
+
+
+def test_criterion_11_long_eval1_chains():
+    chains = {
+        "↓::r×10,000": "/".join(["↓::r"] * 10_000),
+        "↓::r/(↓::r/→⁺::r)×5,000": "↓::r/" + "/".join(["↓::r/→⁺::r"] * 5_000),
+    }
+
+    def body():
+        d = parse_dtd(WORKED)
+        assert satisfiable(d, "↓::r").sat  # compiles the DTD once
+        took = {}
+        for name, q in chains.items():
+            t0 = time.perf_counter()
+            v = satisfiable(d, q)  # untraced; levels and beta stay unread
+            took[name] = time.perf_counter() - t0
+            assert v.sat and took[name] < 5.0, (name, took[name])
+        return "untraced satisfiable answers SAT on " + ", ".join(
+            f"{name} in {t:.2f}s" for name, t in took.items())
+
+    _report(11, 10.0, body)

@@ -443,6 +443,16 @@ def test_xml_dtd_bad_element_name(tmp_path, cmd, name):
     assert f"bad label {name!r}" in err
 
 
+@pytest.mark.parametrize("cmd", ["classify", "sat"])
+def test_xml_dtd_element_named_eps(tmp_path, cmd):
+    p = tmp_path / "eps.xml"
+    p.write_text("<!ELEMENT r (eps, a)>\n<!ELEMENT eps EMPTY>\n<!ELEMENT a EMPTY>\n")
+    extra = ["--xpath", "↓::a"] if cmd == "sat" else []
+    code, out, err = run([cmd, "--dtd", str(p), "--format", "xml-dtd"] + extra)
+    assert (code, out) == (2, "")
+    assert err == "error: 'eps' is reserved\n"
+
+
 def test_classify_long_label_run(tmp_path):
     # a run of 3,000 labels once overflowed the recursion of the split
     p = tmp_path / "run.dtd"

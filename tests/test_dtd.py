@@ -394,6 +394,14 @@ def test_parse_xml_dtd_rejections():
         parse_xml_dtd('<!ENTITY x "y"><!-- root: r --><!ELEMENT r EMPTY>')
 
 
+def test_xml_element_named_eps_is_reserved():
+    # the native format rejects the name too: `eps` in a model is the empty word
+    with pytest.raises(ParseError, match="^'eps' is reserved$"):
+        parse_xml_dtd("<!ELEMENT r (eps, a)> <!ELEMENT eps EMPTY> <!ELEMENT a EMPTY>")
+    with pytest.raises(ParseError, match="'eps' is reserved"):
+        parse_dtd("root r\nr := a\na := eps\neps := eps\n")
+
+
 @pytest.mark.parametrize("name", ["9r", "9b:c", "-a", ".x", "a:b", "é"])
 def test_xml_element_names_follow_the_label_syntax(name):
     # the native format rejects the same names

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 from functools import lru_cache
 from itertools import product
 
@@ -71,6 +72,12 @@ def test_tree_term_multichar_labels():
 @pytest.mark.parametrize("bad", ["", "r(", "r)a", "r(a,)", "r(a))", "r a", "(a)"])
 def test_tree_term_errors(bad):
     with pytest.raises(ParseError):
+        parse_tree(bad)
+
+
+@pytest.mark.parametrize("bad, char", [("r(a,é)", "é"), ("r(a|b)", "|"), ("r(a*)", "*")])
+def test_tree_term_lexer_errors_name_the_tree_term(bad, char):
+    with pytest.raises(ParseError, match=f"^unexpected character '{re.escape(char)}' in tree term$"):
         parse_tree(bad)
 
 

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import pickle
 import random
 import sys
 import tracemalloc
+from itertools import islice
 
 import pytest
 
@@ -24,7 +26,7 @@ from xpathsat import (
 )
 from xpathsat.constraints import SibMap, consistent, render_map
 from xpathsat import sat_checker
-from xpathsat.oracle import oracle_satisfiable, parse_tree, render_tree, satisfies
+from xpathsat.oracle import iter_trees, oracle_satisfiable, parse_tree, render_tree, satisfies
 from xpathsat.sat_checker import (
     Eval2Tuple, _accepting, compile_dtd, eval1, eval2, render_tuple_set,
 )
@@ -32,6 +34,7 @@ from xpathsat.xpath import Axis, QAnd, Qual, Seq, Step, Union, normalize
 
 from gens import (
     dense_dtd,
+    random_doc_walk,
     random_eval1_query,
     random_eval2_query,
     random_mdf_dc_dtd,
@@ -39,7 +42,7 @@ from gens import (
     tree_count,
 )
 from support import (
-    eager_eval2_verdict, entry_at, probing_child_arm, probing_sibling_arm,
+    eager_eval2_verdict, entry_at, label_path_eval1, probing_child_arm, probing_sibling_arm,
 )
 
 WORKED = "root r\nr := r*(a*b|c)r*\na := eps\nb := a\nc := eps\n"
@@ -463,11 +466,12 @@ def test_satisfiable_normalizes_mrw_dtd_first():
     assert not satisfiable(d, "↓::a/↓::q").sat
 
 
-# ------------------------------------------------------ known incompleteness
+# ------------------------------------------------------ same-label siblings
 
-# Requirements are keyed by label path, so the two r children below the root
-# share one entry: the b demanded below the first r still binds after the
-# walk moves to a preceding r sibling, and a satisfiable query reads UNSAT.
+# Keyed by label path, the two r children below the root would share one
+# entry: the b demanded below the first r would still bind after the walk
+# moves to a preceding r sibling, and this satisfiable query read UNSAT.
+# eval1 keeps one frame per node, so the two siblings are two frames.
 SHARED_KEY_DTD = "root r\nr := r*(b|c)r*\nb := eps\nc := eps\n"
 SHARED_KEY_QUERY = "↓::r/↓::b/↑::r/←⁺::r/↓::c"
 
@@ -477,9 +481,50 @@ def test_shared_key_query_has_an_oracle_witness():
     assert t is not None and render_tree(t) == "r(b,r(c),r(b))"
 
 
-@pytest.mark.xfail(strict=True, reason="requirements keyed by label path merge same-label siblings")
 def test_shared_key_query_is_sat():
     assert satisfiable(parse_dtd(SHARED_KEY_DTD), SHARED_KEY_QUERY).sat
+
+
+def _walk_dtds(rng) -> list[Dtd]:
+    return [parse_dtd(WORKED), parse_dtd(SHARED_KEY_DTD)] + [
+        random_recursive_mdf_dc_dtd(rng) for _ in range(20)
+    ] + [random_mdf_dc_dtd(rng) for _ in range(20)]
+
+
+def test_document_walks_read_sat():
+    # a query that walks a conforming document is satisfiable by
+    # construction; walks may move between siblings of one label, which the
+    # label-path walk merged into one node
+    rng = random.Random(2515)
+    walks = flips = 0
+    for d in _walk_dtds(rng):
+        g = compile_dtd(d)
+        trees = [t for t in islice(iter_trees(d, 4, 2), 300) if t.children]
+        for _ in range(60):
+            t = rng.choice(trees)
+            p = random_doc_walk(rng, t)
+            assert satisfiable(d, p).sat, (d.rules, render_xpath(p, arrows=True), render_tree(t))
+            if not label_path_eval1(g, p, trace=False).sat:
+                flips += 1
+                assert oracle_satisfiable(d, p, 4, 2) is not None
+            walks += 1
+    assert walks == 2_520 and flips > 0, flips
+
+
+def test_frames_lose_no_sat_verdict_of_the_label_path_walk():
+    rng = random.Random(6300)
+    verdicts = []
+    for d in _walk_dtds(rng):
+        g = compile_dtd(d)
+        for _ in range(150):
+            p = random_eval1_query(rng, d)
+            before = label_path_eval1(g, p, trace=False).sat
+            now = eval1(g, p, trace=False).sat
+            assert now or not before, (d.rules, render_xpath(p, arrows=True))
+            if now and not before:
+                assert oracle_satisfiable(d, p, 5, 2) is not None
+            verdicts.append(now)
+    assert len(verdicts) == 6_300 and 1_000 < sum(verdicts) < 5_300, sum(verdicts)
 
 
 # -------------------------------------------------------------- differential
@@ -506,10 +551,10 @@ def test_small_differential_against_oracle():
 
 
 def test_eval1_and_eval2_agree_on_their_shared_fragment():
-    # qualifier-free child and sibling steps lie in both fragments.  Both
-    # deciders key requirements by label path, so both have the same-label
-    # gap of test_shared_key_query_is_sat: this pins their agreement, not
-    # their completeness.
+    # qualifier-free child and sibling steps lie in both fragments.  eval2
+    # keys requirements by label path, so it still has the same-label gap
+    # that eval1's frames close (README, Known incompleteness): this pins
+    # their agreement on these queries, not eval2's completeness.
     rng = random.Random(1357)
     dtds = [random_mdf_dc_dtd(rng) for _ in range(30)]
     dtds += [random_recursive_mdf_dc_dtd(rng) for _ in range(30)]
@@ -809,11 +854,31 @@ def test_deferred_fields_equal_the_eager_ones():
             v = satisfiable(d, q)
             p = normalize(q)
             eager = eval1(g, p) if v.algorithm == "eval1" else eager_eval2_verdict(g, p)
+            # an untraced eval1 SAT builds levels and beta from its frames
+            assert (v.levels, v.beta) == (eager.levels, eager.beta), (d.rules, q)
             assert (v.trace, v.final_state, v.reason) == (
                 eager.trace, eager.final_state, eager.reason), (d.rules, q)
             assert v == eager and repr(v) == repr(eager)
             seen.add((v.algorithm, v.sat))
     assert seen == {("eval1", True), ("eval1", False), ("eval2", True), ("eval2", False)}
+
+
+def test_untraced_eval1_builds_levels_and_beta_on_first_read():
+    d = parse_dtd(WORKED)
+    v = satisfiable(d, SAT_QUERY)
+    assert "levels" not in vars(v) and "beta" not in vars(v)
+    assert render_map(v.beta) == "{r↦{b}, rb↦{a}}"
+    assert [lv.label for lv in v.levels] == ["r", "b"]
+    assert "_frames" not in vars(v)
+
+
+def test_deferred_long_chain_verdict_pickles():
+    # a pickle holds levels and beta, not the nested frames behind them
+    d = parse_dtd(WORKED)
+    v = satisfiable(d, "/".join(["↓::r"] * 1_500))
+    w = pickle.loads(pickle.dumps(v))
+    assert w.sat and len(w.levels) == 1_501 and len(w.beta.entries) == 1_500
+    assert (w.levels, w.beta) == (v.levels, v.beta)
 
 
 def test_long_chain_verdict_is_cheap_until_its_trace_is_read(monkeypatch):
