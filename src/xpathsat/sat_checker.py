@@ -184,7 +184,9 @@ def eval1(graph: SchemaGraph, p: Path, trace: bool = True) -> Verdict:
     sideways step adds the sibling's demand to the parent frame, leaves the
     current frame and then enters the sibling's, so two siblings with one
     label are two frames.  Each step costs the same however long the run,
-    and only the frame a step adds to needs a fresh coverability check.
+    and only the frame a step adds a demand to needs a fresh coverability
+    check.  A run builds one `Level` per distinct group of target places,
+    and works each move from one level along one step out once.
 
     With trace=False no state strings are rendered at all (final_state comes
     back None, the trace is empty and an uncoverable reason names only the
@@ -198,6 +200,9 @@ def eval1(graph: SchemaGraph, p: Path, trace: bool = True) -> Verdict:
         if not isinstance(step, Step):
             raise UnsupportedFragment(f"not a plain step sequence: {render_xpath(step)}")
     stack = [_Frame(Level(d.root, (graph.sentinel,), True))]  # root to current node
+    # target places -> their level and psi, built once per run
+    by_targets: dict[tuple[SgNode, ...], tuple[Level, frozenset[str]]] = {}
+    moves: dict[tuple[tuple[SgNode, ...], Axis, str], tuple[Level, frozenset[str]]] = {}
     lines: list[str] = []
     if trace:
         lines.append(f"start: {render_state(_levels(stack), _beta(stack[0]))}")
@@ -228,30 +233,43 @@ def eval1(graph: SchemaGraph, p: Path, trace: bool = True) -> Verdict:
             if sideways and len(stack) == 1:
                 return nowhere("the root has no siblings")
             at = stack[-2] if sideways else cur
-            targets = graph.children_with_label(at.level.label, step.label)
-            if sideways:
-                targets = tuple(
-                    v for v in targets
-                    if any(_admissible(u, v, step.axis) for u in cur.level.nodes)
-                )
-            if not targets:
-                return nowhere(
-                    f"no admissible sibling labeled {step.label!r}" if sideways
-                    else f"no place labeled {step.label!r} below {cur.level.label!r}"
-                )
-            values = psi(targets[0])
-            at.need = values if at.need is None else at.need | values
-            level = Level(step.label, targets, len(targets) == 1 and targets[0].is_dfs)
-            if values and not coverable(d.covers[at.level.label], at.need):
-                base = stack[:-1] if sideways else stack
-                if trace:
-                    beta = _beta(stack[0])
-                    return unsat(
-                        f"{s} → {render_state(_levels(base) + (level,), beta)} inconsistent",
-                        f"requirements {render_map(beta)} are not coverable",
+            # where a step lands hangs on the current level (whose places
+            # fix their parent's label) and the step alone, so a run works
+            # each kind of move out once
+            kind = (cur.level.nodes, step.axis, step.label)
+            move = moves.get(kind)
+            if move is None:
+                targets = graph.children_with_label(at.level.label, step.label)
+                if sideways:
+                    targets = tuple(
+                        v for v in targets
+                        if any(_admissible(u, v, step.axis) for u in cur.level.nodes)
                     )
-                key = tuple(f.level.label for f in base)
-                return unsat(None, f"requirements at {render_key(key)} are not coverable")
+                if not targets:
+                    return nowhere(
+                        f"no admissible sibling labeled {step.label!r}" if sideways
+                        else f"no place labeled {step.label!r} below {cur.level.label!r}"
+                    )
+                move = by_targets.get(targets)
+                if move is None:
+                    dfs = len(targets) == 1 and targets[0].is_dfs
+                    move = by_targets[targets] = (Level(step.label, targets, dfs), psi(targets[0]))
+                moves[kind] = move
+            level, values = move
+            need = at.need
+            if need is None or not values <= need:
+                # the demands below `at` start or grow: check them afresh
+                at.need = values if need is None else need | values
+                if values and not coverable(d.covers[at.level.label], at.need):
+                    base = stack[:-1] if sideways else stack
+                    if trace:
+                        beta = _beta(stack[0])
+                        return unsat(
+                            f"{s} → {render_state(_levels(base) + (level,), beta)} inconsistent",
+                            f"requirements {render_map(beta)} are not coverable",
+                        )
+                    key = tuple(f.level.label for f in base)
+                    return unsat(None, f"requirements at {render_key(key)} are not coverable")
             if sideways:
                 at.release(stack.pop())
             # only a dfs child stays bound once left, and a dfs child is the

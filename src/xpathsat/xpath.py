@@ -19,11 +19,17 @@ Likewise a stack of qualifiers is one `Qual` over a base that is not itself
 qualified, and a run of one connective is one `QAnd` or `QOr`: `and` and
 `or` bind equally and group to the right, so `a or b and c and d` is
 `QOr((a, QAnd((b, c, d))))`.  Nesting too deep to parse is a ParseError.
+
+The lexer reads each well-formed step (axis, `::`, label) whole, in one
+match, so a run of unqualified steps parses without a token-by-token walk.
+A parsed query holds one `Step` object per distinct step: equal steps share
+it.  `normalize` returns its input, not a copy, when nothing in it splits.
 """
 
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass
 
 from . import content_model as cm
@@ -37,6 +43,9 @@ class Axis(enum.Enum):
     ANC_OR_SELF = "anc-or-self"
     FSIB = "fsib"
     PSIB = "psib"
+
+    # members are singletons, so identity is equality: hash them in C
+    __hash__ = object.__hash__
 
 
 _ALIASES = {
@@ -105,14 +114,46 @@ Path = Step | Seq | Union | Qual
 
 # --- lexer -------------------------------------------------------------------
 
-_lex = cm.lexer(r"::|\|u\||[↓↑]\*|[→←][⁺+]|[↓↑∪/\[\]()]", "query")
+_AXIS_BY_NAME = {a.value: a for a in Axis}
+
+# a whole well-formed step (axis, `::`, label) with the `/` after it if one
+# follows, one token, whitespace, or (last group) a character no token
+# starts with.  An axis word or arrow that opens a step reads as the token
+# it would be on its own.
+_token = re.compile(
+    r"([↓↑]\*?|[→←][⁺+]|" + "|".join(_AXIS_BY_NAME) + rf")\s*::\s*({cm.LABEL})(\s*/)?"
+    rf"|(::|\|u\||[↓↑]\*|[→←][⁺+]|[↓↑∪/\[\]()]|{cm.LABEL})|\s+|(.)"
+)
+
+
+class _StepToken(str):
+    """The axis token of a step the lexer read whole; `step` is that step."""
+
+    step: Step
 
 
 def _tokenize(text: str) -> list[str]:
-    return ["|u|" if tok == "∪" else tok for tok in _lex(text)]
-
-
-_AXIS_BY_NAME = {a.value: a for a in Axis}
+    """The query's tokens; a step read whole is its axis token, `::` and its
+    label.  The tokens of equal step texts are made once, on their first
+    sight, and equal steps share one Step."""
+    toks: list[str] = []
+    runs: dict[tuple[str, str, str], tuple[str, ...]] = {}  # a step's text -> its tokens
+    steps: dict[Step, Step] = {}
+    for axis, label, slash, tok, bad in _token.findall(text):
+        if axis:
+            run = runs.get((axis, label, slash))
+            if run is None:
+                head = _StepToken(axis)
+                step = Step(_ALIASES.get(axis) or _AXIS_BY_NAME[axis], label)
+                head.step = steps.setdefault(step, step)
+                run = (head, "::", label, "/") if slash else (head, "::", label)
+                runs[axis, label, slash] = run
+            toks += run
+        elif tok:
+            toks.append("|u|" if tok == "∪" else tok)
+        elif bad:
+            raise ParseError(f"unexpected character {bad!r} in query")
+    return toks
 
 
 class _Parser(cm.Cursor):
@@ -128,30 +169,39 @@ class _Parser(cm.Cursor):
 
     def parse_path(self) -> Path:
         parts: list[Path] = []
+        toks, i, n = self.toks, self.pos, len(self.toks)
         while True:
-            p = self.parse_step()
-            # a parenthesized sequence splices in: `/` is associative
-            parts.extend(p.steps if isinstance(p, Seq) else (p,))
-            if self.peek() != "/":
+            tok = toks[i] if i < n else None
+            if type(tok) is _StepToken and (i + 3 == n or toks[i + 3] != "["):
+                parts.append(tok.step)  # a whole step without qualifiers
+                i += 3
+            else:
+                self.pos = i
+                p = self.parse_step()
+                # a parenthesized sequence splices in: `/` is associative
+                parts.extend(p.steps if isinstance(p, Seq) else (p,))
+                i = self.pos
+            if i == n or toks[i] != "/":
+                self.pos = i
                 return Seq(tuple(parts)) if len(parts) > 1 else parts[0]
-            self.take()
+            i += 1
 
     def parse_step(self) -> Path:
-        tok = self.peek()
+        tok = self.take()
         if tok == "(":
-            self.take()
             p: Path = self.parse_pathexpr()
             self.expect(")")
+        elif type(tok) is _StepToken:
+            p = tok.step
+            self.pos += 2
         else:
-            axis_tok = self.take()
-            axis = _ALIASES.get(axis_tok) or _AXIS_BY_NAME.get(axis_tok)
-            if axis is None:
-                raise ParseError(f"unknown axis {axis_tok!r}")
+            # the lexer reads every well-formed step whole, so this one is not
+            if tok not in _ALIASES and tok not in _AXIS_BY_NAME:
+                if tok[0] in cm.LABEL_START:
+                    raise ParseError(f"unknown axis {tok!r}")
+                raise ParseError(f"expected a step, got {tok!r}")
             self.expect("::")
-            label = self.take()
-            if label[0] not in cm.LABEL_START:
-                raise ParseError(f"bad label {label!r}")
-            p = Step(axis, label)
+            raise ParseError(f"bad label {self.take()!r}")
         if self.peek() != "[":
             return p
         # a qualified group's stack splices in: its qualifiers apply first
@@ -263,7 +313,10 @@ def _collect(p: Path | Qexpr, axes: set[Axis], kinds: set[type]) -> None:
             axes.add(axis)
         case Seq(parts) | Union(parts) | QAnd(parts) | QOr(parts):
             for x in parts:
-                _collect(x, axes, kinds)
+                if type(x) is Step:
+                    axes.add(x.axis)
+                else:
+                    _collect(x, axes, kinds)
         case Qual(base, quals):
             for x in (base, *quals):
                 _collect(x, axes, kinds)
@@ -291,22 +344,43 @@ def fragment_of(p: Path) -> str:
 
 def normalize(p: Path) -> Path:
     """Split qualifier conjunctions into stacked qualifiers: p[q and q'] becomes
-    p[q][q'].  Disjunctions are kept (and normalized inside)."""
+    p[q][q'].  Disjunctions are kept (and normalized inside).  A node that
+    nothing inside splits comes back as it is."""
     match p:
         case Step(_, _):
             return p
         case Seq(parts) | Union(parts):
-            return type(p)(tuple(normalize(x) for x in parts))
+            new = _normalized(parts, normalize)
+            return p if new is parts else type(p)(new)
         case Qual(base, quals):
-            split = [x for q in quals for x in (q.items if isinstance(q, QAnd) else (q,))]
-            return Qual(normalize(base), tuple(_normalize_q(q) for q in split))
+            split = tuple(x for q in quals for x in (q.items if isinstance(q, QAnd) else (q,)))
+            new_base, new_quals = normalize(base), _normalized(split, _normalize_q)
+            if new_base is base and len(split) == len(quals) and new_quals is split:
+                return p
+            return Qual(new_base, new_quals)
     raise TypeError(f"not a path: {p!r}")
 
 
 def _normalize_q(q: Qexpr) -> Qexpr:
     match q:
         case QPath(path):
-            return QPath(normalize(path))
+            new = normalize(path)
+            return q if new is path else QPath(new)
         case QAnd(items) | QOr(items):
-            return type(q)(tuple(_normalize_q(x) for x in items))
+            new = _normalized(items, _normalize_q)
+            return q if new is items else type(q)(new)
     raise TypeError(f"not a qualifier: {q!r}")
+
+
+def _normalized(parts: tuple, norm) -> tuple:
+    """parts, each normalized by norm; parts itself when none changes.  A
+    step never changes, so it is passed over."""
+    out = None
+    for i, x in enumerate(parts):
+        if type(x) is not Step:
+            y = norm(x)
+            if y is not x:
+                if out is None:
+                    out = list(parts)
+                out[i] = y
+    return parts if out is None else tuple(out)

@@ -9,12 +9,12 @@
   that witnesses a requirement map, which cross-check `consistent`.
 * Earlier forms of package code that a faster form replaced, kept as
   references: the character-by-character query and content-model lexers,
-  the backtracking label-run split, the rescan-until-fixpoint tree heights,
-  the eval2 child and sibling arms that probe every place, the eagerly
-  traced eval2 verdict, the oracle's per-tree query interpreter with the
-  search over it, the requirement-map algebra built on a checking
-  dataclass entry, and the eval1 walk that keyed requirements by label
-  path.
+  the query parser that read one token at a time, the backtracking
+  label-run split, the rescan-until-fixpoint tree heights, the eval2 child
+  and sibling arms that probe every place, the eagerly traced eval2
+  verdict, the oracle's per-tree query interpreter with the search over
+  it, the requirement-map algebra built on a checking dataclass entry,
+  and the eval1 walk that keyed requirements by label path.
 """
 
 from __future__ import annotations
@@ -28,7 +28,8 @@ from xpathsat.constraints import (
     DfsBits, Key, SibEntry, SibMap, coverable, psi, render_key, render_map, surviving,
 )
 from xpathsat.content_model import (
-    Concat, Disj, Epsilon, Expr, Hash, Nfa, Opt, Plus, Star, Symbol, symbol_counts,
+    LABEL_START, Concat, Cursor, Disj, Epsilon, Expr, Hash, Nfa, Opt, Plus, Star, Symbol,
+    symbol_counts,
 )
 from xpathsat.dtd import Dtd
 from xpathsat.errors import ParseError, UnsupportedFragment
@@ -38,7 +39,8 @@ from xpathsat.sat_checker import (
 )
 from xpathsat.schema_graph import SchemaGraph, SgNode, build_schema_graph
 from xpathsat.xpath import (
-    ARROW, Axis, Path, QAnd, QOr, QPath, Qexpr, Qual, Seq, Step, Union, render_xpath,
+    _ALIASES, _AXIS_BY_NAME, _CONNECTIVES, ARROW, Axis, Path, QAnd, QOr, QPath, Qexpr, Qual,
+    Seq, Step, Union, render_xpath,
 )
 
 
@@ -298,6 +300,93 @@ def reference_tokenize(text: str) -> list[str]:
             else:
                 raise ParseError(f"unexpected character {c!r} in query")
     return toks
+
+
+class _ReferenceParser(Cursor):
+    """The query parser as it was before steps were lexed whole: it reads
+    one token at a time."""
+
+    def parse_pathexpr(self) -> Path:
+        items: list[Path] = []
+        while True:
+            p = self.parse_path()
+            # a parenthesized union splices in: `∪` is associative
+            items.extend(p.items if isinstance(p, Union) else (p,))
+            if self.peek() != "|u|":
+                return Union(tuple(items)) if len(items) > 1 else items[0]
+            self.take()
+
+    def parse_path(self) -> Path:
+        parts: list[Path] = []
+        while True:
+            p = self.parse_step()
+            # a parenthesized sequence splices in: `/` is associative
+            parts.extend(p.steps if isinstance(p, Seq) else (p,))
+            if self.peek() != "/":
+                return Seq(tuple(parts)) if len(parts) > 1 else parts[0]
+            self.take()
+
+    def parse_step(self) -> Path:
+        tok = self.peek()
+        if tok == "(":
+            self.take()
+            p: Path = self.parse_pathexpr()
+            self.expect(")")
+        else:
+            axis_tok = self.take()
+            axis = _ALIASES.get(axis_tok) or _AXIS_BY_NAME.get(axis_tok)
+            if axis is None:
+                raise ParseError(f"unknown axis {axis_tok!r}")
+            self.expect("::")
+            label = self.take()
+            if label[0] not in LABEL_START:
+                raise ParseError(f"bad label {label!r}")
+            p = Step(axis, label)
+        if self.peek() != "[":
+            return p
+        # a qualified group's stack splices in: its qualifiers apply first
+        quals: list[Qexpr] = []
+        if isinstance(p, Qual):
+            p, quals = p.base, list(p.quals)
+        while self.peek() == "[":
+            self.take()
+            quals.append(self.parse_qexpr())
+            self.expect("]")
+        return Qual(p, tuple(quals))
+
+    def parse_qexpr(self) -> Qexpr:
+        q: Qexpr = QPath(self.parse_pathexpr())
+        if self.peek() not in _CONNECTIVES:
+            return q
+        operands, words = [q], []
+        while self.peek() in _CONNECTIVES:
+            words.append(self.take())
+            operands.append(QPath(self.parse_pathexpr()))
+        # equal precedence, grouped to the right: from the right, each run of
+        # one connective is one node whose last operand is the node built so far
+        q = operands.pop()
+        while words:
+            word, run = words[-1], [q]
+            while words and words[-1] == word:
+                words.pop()
+                run.append(operands.pop())
+            q = _CONNECTIVES[word](tuple(reversed(run)))
+        return q
+
+
+def reference_parse_xpath(text: str) -> Path:
+    """`parse_xpath` as it was before steps were lexed whole."""
+    toks = reference_tokenize(text)
+    if not toks:
+        raise ParseError("empty query")
+    p = _ReferenceParser(toks, "query")
+    try:
+        out = p.parse_pathexpr()
+    except RecursionError:
+        raise ParseError("query nested too deeply") from None
+    if p.peek() is not None:
+        raise ParseError(f"trailing input from token {p.peek()!r}")
+    return out
 
 
 def reference_content_lexer(text: str) -> list[str]:

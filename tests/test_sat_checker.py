@@ -28,7 +28,7 @@ from xpathsat.constraints import SibMap, consistent, render_map
 from xpathsat import sat_checker
 from xpathsat.oracle import iter_trees, oracle_satisfiable, parse_tree, render_tree, satisfies
 from xpathsat.sat_checker import (
-    Eval2Tuple, _accepting, compile_dtd, eval1, eval2, render_tuple_set,
+    Eval2Tuple, Level, _accepting, compile_dtd, eval1, eval2, render_tuple_set,
 )
 from xpathsat.xpath import Axis, QAnd, Qual, Seq, Step, Union, normalize
 
@@ -241,6 +241,24 @@ def test_eval1_invariants_on_random_runs():
                         assert after is not None and e.values <= after.values
             runs += 1
     assert runs == 240
+
+
+def test_eval1_builds_one_level_per_place_group(monkeypatch):
+    # a 10,000-step child chain lands on one group of places after the root
+    built = 0
+
+    class CountedLevel(Level):
+        __slots__ = ()
+
+        def __new__(cls, *args, **kwargs):
+            nonlocal built
+            built += 1
+            return super().__new__(cls)
+
+    monkeypatch.setattr(sat_checker, "Level", CountedLevel)
+    r = eval1(worked_graph(), parse_xpath("/".join(["↓::r"] * 10_000)), trace=False)
+    assert r.sat
+    assert built <= 3
 
 
 # ------------------------------------------------------------------- eval2

@@ -9,10 +9,11 @@ from hypothesis import given, strategies as st
 import pytest
 
 from xpathsat import ParseError, fragment_of, normalize, parse_xpath, render_xpath, size
+from xpathsat.content_model import LABEL_START
 from xpathsat.xpath import Axis, QAnd, QOr, QPath, Qual, Seq, Step, Union, _tokenize
 
-from gens import _flat, _qualified
-from support import reference_tokenize
+from gens import _flat, _qualified, random_full_query
+from support import reference_parse_xpath, reference_tokenize
 
 
 # ------------------------------------------------------------------- parsing
@@ -102,6 +103,23 @@ def test_parse_errors(bad):
         parse_xpath(bad)
 
 
+@pytest.mark.parametrize(
+    "bad,message",
+    [
+        ("↓::a[]", "expected a step, got ']'"),
+        ("↓::a//↓::b", "expected a step, got '/'"),
+        ("()", "expected a step, got ')'"),
+        ("↓::a[↓::b and]", "expected a step, got ']'"),
+        # a label-shaped token where an axis belongs is an unknown axis
+        ("foo::a", "unknown axis 'foo'"),
+    ],
+)
+def test_parse_error_names_what_stands_where_a_step_belongs(bad, message):
+    with pytest.raises(ParseError) as exc:
+        parse_xpath(bad)
+    assert str(exc.value) == message
+
+
 # single characters, plus whole tokens so that many strings lex cleanly
 _LEX_ALPHABET = list("↓↑→←∪⁺+*:|u/[]()0123456789.-_abrxZ \t\n\x1cé!") + [
     "::", "|u|", "↓*", "→⁺", "←+", "child", "and", "x.1-b",
@@ -124,6 +142,65 @@ def test_tokenize_matches_the_reference_lexer():
         assert got == _lex(reference_tokenize, text), repr(text)
         outcomes["error" if isinstance(got, str) else "tokens"] += 1
     assert min(outcomes.values()) > 2_000, outcomes
+
+
+# whole steps, well formed or nearly so, that the lexer reads whole or not
+_STEP_PIECES = ["↓::a", "child :: r", "→+::b[", "childx::a", "↓::a::b", "/"]
+
+
+def _pieced_query(rng) -> str:
+    """Step pieces, the well-formed ones more often, joined mostly by `/` and
+    otherwise by an item of _LEX_ALPHABET; a qualifier that a piece opens is
+    mostly given one piece and closed."""
+    def piece() -> str:
+        return rng.choices(_STEP_PIECES, [3, 3, 2, 1, 1, 1])[0]
+
+    out: list[str] = []
+    for i in range(rng.randint(1, 6)):
+        if i:
+            out.append("/" if rng.random() < 0.8 else rng.choice(_LEX_ALPHABET))
+        out.append(piece())
+        if out[-1].endswith("[") and rng.random() < 0.8:
+            out.append(piece() + "]")
+    return "".join(out)
+
+
+def _parsed(parse, text):
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return f"ParseError: {exc}"
+
+
+def _reference_parsed(text):
+    """The reference parser's outcome, in the one wording that changed: a
+    token that cannot start a label is no unknown axis but no step at all."""
+    got = _parsed(reference_parse_xpath, text)
+    if isinstance(got, str) and got.startswith("ParseError: unknown axis "):
+        tok = got.removeprefix("ParseError: unknown axis ")
+        if tok[1] not in LABEL_START:  # tok is a repr, quotes included
+            return f"ParseError: expected a step, got {tok}"
+    return got
+
+
+def test_parser_matches_the_reference_parser():
+    rng = random.Random(515)
+    texts = [_pieced_query(rng) for _ in range(20_000)]
+    for _ in range(1_000):
+        p = random_full_query(rng, ["a", "r", "x.1-b"])
+        texts += [render_xpath(p), render_xpath(p, arrows=True)]
+    clean = 0
+    for text in texts:
+        got = _parsed(parse_xpath, text)
+        assert got == _reference_parsed(text), repr(text)
+        clean += not isinstance(got, str)
+    assert clean > 4_000, clean
+
+
+def test_a_chain_shares_its_steps_and_normalizes_to_itself():
+    p = parse_xpath("/".join(["↓::r"] * 10_000))
+    assert len({id(s) for s in p.steps}) == 1
+    assert normalize(p) is p
 
 
 # ----------------------------------------------------------------- rendering
