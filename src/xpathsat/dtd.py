@@ -61,6 +61,19 @@ class Dtd:
         """Every rule prepared for `coverable`, once per instance."""
         return {lbl: Cover(e) for lbl, e in self.rules.items()}
 
+    @cached_property
+    def nfas(self) -> dict[str, cm.Nfa]:
+        """Every rule as the automaton `oracle.conforms` runs, once per
+        instance."""
+        return {lbl: cm.Nfa(e) for lbl, e in self.rules.items()}
+
+    @cached_property
+    def tree_space(self) -> dict:
+        """The oracle's bounded tree space for the last `(depth, rep)` asked
+        of this instance, keyed by that bound; `oracle.iter_trees` fills and
+        replaces it."""
+        return {}
+
 
 # --- factor decomposition ---------------------------------------------------
 

@@ -8,6 +8,11 @@ bound.  They come smallest first, by node count and then preorder labels,
 and the search stops at the first witness.  A found witness is definitive;
 exhaustion of the bound is reported as unknown, never as unsatisfiable.
 
+The tree space is kept on the `Dtd` instance for the last bound asked of
+it, so a later search replays the same stream.  Each node count's trees are
+built when a search first reaches that count; like `Dtd.covers`, the kept
+space assumes the instance's rules are not mutated.
+
 A search compiles its query once, into closures, and runs them on every
 tree.  They work on parent-linked nodes: a step reads the children of the
 node or of its parent, or follows the parent link, and never walks down
@@ -18,7 +23,6 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import product
 from math import inf, prod
 
@@ -38,15 +42,6 @@ NodePath = tuple[int, ...]  # child indices from the root; () is the root
 class DocTree:
     label: str
     children: tuple["DocTree", ...] = ()
-
-    def node_count(self) -> int:
-        return 1 + sum(c.node_count() for c in self.children)
-
-    def preorder_labels(self) -> tuple[str, ...]:
-        out = [self.label]
-        for c in self.children:
-            out.extend(c.preorder_labels())
-        return tuple(out)
 
 
 def render_tree(t: DocTree) -> str:
@@ -89,7 +84,7 @@ def parse_tree(text: str) -> DocTree:
 def conforms(t: DocTree, d: Dtd) -> bool:
     if t.label != d.root:
         return False
-    nfas = {lbl: cm.Nfa(d.model(lbl)) for lbl in d.labels}
+    nfas = d.nfas
 
     def ok(v: DocTree) -> bool:
         if v.label not in nfas:
@@ -268,6 +263,97 @@ def _words(e: Expr, rep: int) -> set[Word]:
     raise TypeError(f"not an expression: {e!r}")
 
 
+class _Space:
+    """The trees of one DTD within one bound, per node count.  A count's
+    root trees are built and sorted when an iterator first reaches it, then
+    kept.  They are built from tables of the subtrees of each `(label,
+    height budget, node count)`, which go once every count is built."""
+
+    def __init__(self, d: Dtd, depth: int, rep: int):
+        self.rules, self.rep, self.heights = d.rules, rep, min_heights(d)
+        self.root, self.depth = d.root, depth
+        self.built: dict[int, tuple[DocTree, ...]] = {}  # node count -> root trees
+        self.forget()
+        count, lo, hi, _ = self.shape(d.root, depth)
+        self.counts = range(lo, hi + 1) if count else range(0)
+        if not count:
+            self.forget()
+
+    def forget(self) -> None:
+        # fresh memos: replacing them, rather than dropping them, leaves
+        # correct a build that another thread is still running on the old ones
+        self.words: dict[str, list[Word]] = {}
+        self.shapes: dict[tuple[str, int], tuple[int, float, int, list]] = {}
+        self.tables: dict[tuple[str, int, int], tuple[tuple, ...]] = {}
+
+    def trees(self, size: int) -> tuple[DocTree, ...]:
+        got = self.built.get(size)
+        if got is None:
+            ranked = sorted(self.build(self.root, self.depth, size))
+            got = self.built[size] = tuple(t for _, _, t in ranked)
+            if len(self.built) == len(self.counts):
+                self.forget()
+        return got
+
+    def shape(self, label: str, budget: int) -> tuple[int, float, int, list]:
+        # tree count, least and greatest node count, and the words that root
+        # some tree, each with its rank offset and its children's shapes
+        got = self.shapes.get((label, budget))
+        if got is not None:
+            return got
+        heights = self.heights
+        total, lo, hi, live = 0, inf, 0, []
+        if 0 <= heights[label] <= budget:
+            words = self.words.get(label)
+            if words is None:
+                words = self.words[label] = sorted(words_capped(self.rules[label], self.rep))
+            for word in words:
+                if any(heights[lbl] < 0 or heights[lbl] > budget - 1 for lbl in word):
+                    continue
+                kids = [self.shape(lbl, budget - 1) for lbl in word]
+                if n := prod(k[0] for k in kids):
+                    live.append((word, total, kids))
+                    total += n
+                    lo = min(lo, 1 + sum(k[1] for k in kids))
+                    hi = max(hi, 1 + sum(k[2] for k in kids))
+        got = self.shapes[label, budget] = total, lo, hi, live
+        return got
+
+    def build(self, label: str, budget: int, size: int) -> Iterator[tuple]:
+        # (preorder labels, rank among all trees of label and budget, tree);
+        # the rank is the tree's mixed-radix position in word-then-product order
+        tables = self.tables
+        for word, offset, kids in self.shape(label, budget)[3]:
+            radices = [k[0] for k in kids]
+            for sizes in _splits(kids, size - 1):
+                parts = []
+                for lbl, n in zip(word, sizes):
+                    part = tables.get((lbl, budget - 1, n))
+                    if part is None:
+                        part = tables[lbl, budget - 1, n] = tuple(self.build(lbl, budget - 1, n))
+                    parts.append(part)
+                for combo in product(*parts):
+                    pres, ranks, trees = zip(*combo) if combo else ((), (), ())
+                    rank = 0
+                    for k, r in zip(radices, ranks):
+                        rank = rank * k + r
+                    yield sum(pres, (label,)), offset + rank, DocTree(label, trees)
+
+
+def _splits(kids: list, total: int) -> Iterator[tuple[int, ...]]:
+    # node counts, one per child within its shape, adding up to total
+    if not kids:
+        if total == 0:
+            yield ()
+        return
+    rest = kids[1:]
+    least = max(kids[0][1], total - sum(k[2] for k in rest))
+    most = min(kids[0][2], total - sum(k[1] for k in rest))
+    for n in range(least, most + 1):
+        for tail in _splits(rest, total - n):
+            yield (n, *tail)
+
+
 def iter_trees(d: Dtd, depth: int, rep: int) -> Iterator[DocTree]:
     """Every conforming tree of depth <= depth whose children words stay
     within the repetition bound, smallest first: by node count, then by
@@ -275,69 +361,18 @@ def iter_trees(d: Dtd, depth: int, rep: int) -> Iterator[DocTree]:
     their children word among the sorted words, then by their children's own
     positions in that order.
 
-    Trees are built one node count at a time from per-call tables of the
-    subtrees of each `(label, height budget, node count)`; nothing outlives
-    the call, and a caller that stops early never builds the larger trees."""
-    heights = min_heights(d)
-
-    @lru_cache(maxsize=None)
-    def words_of(label: str) -> list[Word]:
-        return sorted(words_capped(d.model(label), rep))
-
-    @lru_cache(maxsize=None)
-    def shape(label: str, budget: int) -> tuple[int, float, int, list]:
-        # tree count, least and greatest node count, and the words that root
-        # some tree, each with its rank offset and its children's shapes
-        total, lo, hi, live = 0, inf, 0, []
-        if 0 <= heights[label] <= budget:
-            for word in words_of(label):
-                if any(heights[lbl] < 0 or heights[lbl] > budget - 1 for lbl in word):
-                    continue
-                kids = [shape(lbl, budget - 1) for lbl in word]
-                if n := prod(k[0] for k in kids):
-                    live.append((word, total, kids))
-                    total += n
-                    lo = min(lo, 1 + sum(k[1] for k in kids))
-                    hi = max(hi, 1 + sum(k[2] for k in kids))
-        return total, lo, hi, live
-
-    def splits(kids: list, total: int) -> Iterator[tuple[int, ...]]:
-        # node counts, one per child within its shape, adding up to total
-        if not kids:
-            if total == 0:
-                yield ()
-            return
-        rest = kids[1:]
-        least = max(kids[0][1], total - sum(k[2] for k in rest))
-        most = min(kids[0][2], total - sum(k[1] for k in rest))
-        for n in range(least, most + 1):
-            for tail in splits(rest, total - n):
-                yield (n, *tail)
-
-    def build(label: str, budget: int, size: int) -> Iterator[tuple]:
-        # (preorder labels, rank among all trees of label and budget, tree);
-        # the rank is the tree's mixed-radix position in word-then-product order
-        for word, offset, kids in shape(label, budget)[3]:
-            radices = [k[0] for k in kids]
-            for sizes in splits(kids, size - 1):
-                tables = [table(lbl, budget - 1, n) for lbl, n in zip(word, sizes)]
-                for combo in product(*tables):
-                    pres, ranks, trees = zip(*combo) if combo else ((), (), ())
-                    rank = 0
-                    for k, r in zip(radices, ranks):
-                        rank = rank * k + r
-                    yield sum(pres, (label,)), offset + rank, DocTree(label, trees)
-
-    @lru_cache(maxsize=None)
-    def table(label: str, budget: int, size: int) -> tuple[tuple, ...]:
-        return tuple(build(label, budget, size))
-
-    count, lo, hi, _ = shape(d.root, depth)
-    if not count:
-        return
-    for size in range(lo, hi + 1):
-        for _, _, t in sorted(build(d.root, depth, size)):
-            yield t
+    The space is kept on the `Dtd` instance (`Dtd.tree_space`) for the last
+    bound asked of it, and a later call replays it.  A node count's trees
+    are built when an iterator first reaches that count, so a caller that
+    stops early leaves the larger trees unbuilt, and the next one resumes
+    there.  Like `Dtd.covers`, the space assumes `d.rules` is not mutated."""
+    kept = d.tree_space
+    space = kept.get((depth, rep))
+    if space is None:
+        kept.clear()
+        space = kept[depth, rep] = _Space(d, depth, rep)
+    for size in space.counts:
+        yield from space.trees(size)
 
 
 def oracle_satisfiable(d: Dtd, p: Path, depth: int, rep: int) -> DocTree | None:

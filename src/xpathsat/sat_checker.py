@@ -202,7 +202,9 @@ def eval1(graph: SchemaGraph, p: Path, trace: bool = True) -> Verdict:
     stack = [_Frame(Level(d.root, (graph.sentinel,), True))]  # root to current node
     # target places -> their level and psi, built once per run
     by_targets: dict[tuple[SgNode, ...], tuple[Level, frozenset[str]]] = {}
-    moves: dict[tuple[tuple[SgNode, ...], Axis, str], tuple[Level, frozenset[str]]] = {}
+    # (id of the current level, axis, label) -> where the step lands; one
+    # level per target tuple, so the id stands for its places and hashes in C
+    moves: dict[tuple[int, Axis, str], tuple[Level, frozenset[str]]] = {}
     lines: list[str] = []
     if trace:
         lines.append(f"start: {render_state(_levels(stack), _beta(stack[0]))}")
@@ -236,7 +238,7 @@ def eval1(graph: SchemaGraph, p: Path, trace: bool = True) -> Verdict:
             # where a step lands hangs on the current level (whose places
             # fix their parent's label) and the step alone, so a run works
             # each kind of move out once
-            kind = (cur.level.nodes, step.axis, step.label)
+            kind = (id(cur.level), step.axis, step.label)
             move = moves.get(kind)
             if move is None:
                 targets = graph.children_with_label(at.level.label, step.label)

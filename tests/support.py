@@ -1,5 +1,7 @@
 """Reference machinery that only the tests use.
 
+* The node count and preorder labels of a document, the stream order's
+  sort key.
 * The words of a content model up to a length, the list of every tree the
   oracle's stream yields, and requirement maps built from entries, read
   by key, or extended by one more entry.
@@ -49,6 +51,17 @@ def node_at(t: DocTree, path: NodePath) -> DocTree:
     for i in path:
         t = t.children[i]
     return t
+
+
+def node_count(t: DocTree) -> int:
+    return 1 + sum(node_count(c) for c in t.children)
+
+
+def preorder_labels(t: DocTree) -> tuple[str, ...]:
+    out = [t.label]
+    for c in t.children:
+        out.extend(preorder_labels(c))
+    return tuple(out)
 
 
 # --- words and maps --------------------------------------------------------

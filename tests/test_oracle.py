@@ -5,12 +5,15 @@ from __future__ import annotations
 import random
 import re
 from functools import lru_cache
-from itertools import product
+from itertools import islice, product, zip_longest
 
 import pytest
 
-from xpathsat import ParseError, oracle, parse_content_model, parse_dtd, parse_xpath
+from xpathsat import (
+    ParseError, content_model, oracle, parse_content_model, parse_dtd, parse_xpath,
+)
 from xpathsat.constraints import SibMap
+from xpathsat.dtd import Dtd
 from xpathsat.oracle import (
     DocTree,
     conforms,
@@ -32,6 +35,8 @@ from support import (
     enumerate_trees,
     find_beta_witness,
     node_at,
+    node_count,
+    preorder_labels,
     reference_eval,
     reference_search,
     sibmap_of,
@@ -53,8 +58,8 @@ def test_tree_term_round_trip():
     assert render_tree(t) == WORKED_TREE
     assert t.label == "r"
     assert [c.label for c in t.children] == ["r", "a", "a", "b"]
-    assert t.node_count() == 7
-    assert t.preorder_labels() == ("r", "r", "c", "a", "a", "b", "a")
+    assert node_count(t) == 7
+    assert preorder_labels(t) == ("r", "r", "c", "a", "a", "b", "a")
 
 
 def test_tree_term_single_node():
@@ -109,6 +114,24 @@ def test_conforms_single_label():
 
 def test_conforms_rejects_undeclared_label():
     assert not conforms(parse_tree("r(q)"), worked())
+
+
+def test_conforms_builds_its_automata_once_per_dtd(monkeypatch):
+    built = 0
+
+    class CountedNfa(content_model.Nfa):
+        def __init__(self, e):
+            nonlocal built
+            built += 1
+            super().__init__(e)
+
+    monkeypatch.setattr(content_model, "Nfa", CountedNfa)
+    d = worked()
+    assert conforms(parse_tree(WORKED_TREE), d)
+    assert built == len(d.rules)
+    assert not conforms(parse_tree("r(b,c)"), d)
+    assert conforms(parse_tree("r(b(a))"), d)
+    assert built == len(d.rules)
 
 
 # ------------------------------------------------------------ full evaluator
@@ -233,6 +256,41 @@ def test_oracle_search_answers_what_the_former_search_answered():
     assert len(set(found)) > 10
 
 
+def test_reused_dtd_searches_like_a_fresh_one():
+    # one instance answers SAT searches that stop early, whole-space UNSAT
+    # searches and searches at a second bound, in turn, as fresh ones do
+    rng = random.Random(1551)
+    found = exhausted = switches = 0
+    for d, depth, rep in _differential_dtds():
+        bounds = [(depth, rep), (depth - 1, rep)]
+        last = None
+        for _ in range(24):
+            bound = rng.choice(bounds)
+            q = random_full_query(rng, d.labels)
+            got = oracle_satisfiable(d, q, *bound)
+            want = reference_search(Dtd(d.root, dict(d.rules)), q, *bound)
+            assert got == want, (bound, render_xpath(q, arrows=True))
+            found += got is not None
+            exhausted += got is None
+            switches += last not in (None, bound)
+            last = bound
+        for bound in bounds:
+            fresh = Dtd(d.root, dict(d.rules))
+            assert list(iter_trees(d, *bound)) == list(iter_trees(fresh, *bound))
+    assert found > 25 and exhausted > 150 and switches > 80
+
+
+def test_two_live_iterators_each_yield_the_whole_space():
+    for d, depth, rep in _differential_dtds():
+        want = list(iter_trees(Dtd(d.root, dict(d.rules)), depth, rep))
+        d = Dtd(d.root, dict(d.rules))
+        first, second = iter_trees(d, depth, rep), iter_trees(d, depth, rep)
+        head = list(islice(first, len(want) // 3))
+        pairs = list(zip_longest(first, second))
+        assert head + [a for a, _ in pairs if a is not None] == want
+        assert [b for _, b in pairs] == want
+
+
 def test_oracle_search_compiles_once_and_has_no_node_at(monkeypatch):
     # an UNSAT query runs on all 36 trees of the bounded space, and the
     # search compiles it as often as one direct compilation does
@@ -290,7 +348,7 @@ def test_enumerate_trees_all_conform_and_ordered():
     for t in trees:
         assert conforms(t, d)
         assert _height(t) <= 3
-        keys.append((t.node_count(), t.preorder_labels()))
+        keys.append((node_count(t), preorder_labels(t)))
     assert keys == sorted(keys)
     assert len(set(keys)) == len(keys)
 
@@ -328,7 +386,7 @@ def _enumerate_trees_by_sorting(d, depth, rep):
         return tuple(out)
 
     trees = list(trees_for(d.root, depth))
-    trees.sort(key=lambda t: (t.node_count(), t.preorder_labels()))
+    trees.sort(key=lambda t: (node_count(t), preorder_labels(t)))
     return trees
 
 
@@ -364,7 +422,7 @@ def test_iter_trees_keeps_the_order_of_tied_keys():
     for depth in range(2, 5):
         for rep in (1, 2):
             _assert_stream_matches_reference(d, depth, rep)
-    keys = [(t.node_count(), t.preorder_labels()) for t in iter_trees(d, 4, 2)]
+    keys = [(node_count(t), preorder_labels(t)) for t in iter_trees(d, 4, 2)]
     assert len(keys) - len(set(keys)) == 142
     # r(s(b,c),d(d)) and r(s(b(c,d)),d) tie, and the second comes first:
     # s's word (b) sorts before (b,c) although its first child is larger
@@ -392,6 +450,31 @@ def test_oracle_stops_at_the_first_witness(monkeypatch):
     w = oracle_satisfiable(worked(), parse_xpath("↓::r/→⁺::b"), depth=4, rep=2)
     assert render_tree(w) == "r(r(c),b(a))"
     assert built < 100
+
+
+def test_a_repeated_search_replays_the_kept_space(monkeypatch):
+    # the space is kept for the last bound only: a search at another bound
+    # builds its trees, and a return to the first builds those again
+    built = 0
+
+    class CountedTree(DocTree):
+        __slots__ = ()
+
+        def __new__(cls, *args, **kwargs):
+            nonlocal built
+            built += 1
+            return super().__new__(cls)
+
+    monkeypatch.setattr(oracle, "DocTree", CountedTree)
+    d = worked()
+    q = parse_xpath("(↓::r/→⁺::b)/(↓::a/↑::b)/→⁺::c[↓::q or ↑*::r]")
+    counts = []
+    for bound in [(3, 2), (3, 2), (3, 1), (3, 1), (3, 2)]:
+        built = 0
+        assert oracle_satisfiable(d, q, *bound) is None
+        counts.append(built)
+    assert counts[0] >= 36 and counts[2] > 0 and counts[4] == counts[0]
+    assert counts[1] == counts[3] == 0
 
 
 def test_words_capped_golden():
