@@ -143,8 +143,13 @@ def _cmd_graph(args) -> int:
     return EXIT_YES
 
 
-def _add_dtd_options(sp) -> None:
-    sp.add_argument("--dtd", required=True, help="path to the DTD file")
+def _add_dtd_options(sp, model: bool = False) -> None:
+    """--dtd, --format and --root; with `model`, --dtd is one of a required
+    pair with --model, a single content model."""
+    dtd = sp.add_mutually_exclusive_group(required=True) if model else sp
+    dtd.add_argument("--dtd", required=not model, help="path to the DTD file")
+    if model:
+        dtd.add_argument("--model", help="a single content model")
     sp.add_argument(
         "--format", choices=["native", "xml-dtd"], default="native",
         help="DTD syntax (default: native)",
@@ -189,14 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_equiv)
 
     sp = sub.add_parser("delta", help="normalize onto the star-only shape")
-    group = sp.add_mutually_exclusive_group(required=True)
-    group.add_argument("--dtd", help="path to the DTD file")
-    group.add_argument("--model", help="a single content model")
-    sp.add_argument(
-        "--format", choices=["native", "xml-dtd"], default="native",
-        help="DTD syntax (default: native)",
-    )
-    sp.add_argument("--root", default=None, help="root element override")
+    _add_dtd_options(sp, model=True)
     sp.add_argument("--json", action="store_true")
     sp.set_defaults(func=_cmd_delta)
 

@@ -24,7 +24,8 @@ labels it finds no height for.
 
 from __future__ import annotations
 
-from collections.abc import Container, Iterable
+import re
+from collections.abc import Callable, Container, Iterable
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -74,6 +75,10 @@ class Dtd:
         replaces it."""
         return {}
 
+    def __reduce__(self):
+        # a pickle or copy carries the declaration, never the caches above
+        return Dtd, (self.root, self.rules, self.order)
+
 
 # --- factor decomposition ---------------------------------------------------
 
@@ -88,9 +93,7 @@ def top_factors(e: Expr) -> tuple[Expr, ...]:
 
 def _is_dc_qph_factor(f: Expr) -> bool:
     match f:
-        case Symbol(_) | Epsilon():
-            return True
-        case Star(_) | Plus(_):
+        case Symbol(_) | Epsilon() | Star(_) | Plus(_):
             return True
         case Opt(item):
             return is_dc_qph(item)
@@ -134,38 +137,23 @@ def is_rw(e: Expr) -> bool:
     )
 
 
-def _label_star_scope(e: Expr) -> tuple[dict[str, int], set[str]]:
-    """Occurrence counts plus the labels with at least one occurrence outside
-    every * / + scope."""
-    counts: dict[str, int] = {}
-    outside: set[str] = set()
-
-    def walk(x: Expr, under: bool) -> None:
-        match x:
-            case Symbol(name):
-                counts[name] = counts.get(name, 0) + 1
-                if not under:
-                    outside.add(name)
-            case Concat(items) | Disj(items):
-                for it in items:
-                    walk(it, under)
-            case Star(item) | Plus(item):
-                walk(item, True)
-            case Opt(item):
-                walk(item, under)
-            case Hash(left, right):
-                for it in left + right:
-                    walk(it, under)
-
-    walk(e, False)
-    return counts, outside
+def _outside_stars(e: Expr) -> set[str]:
+    """The labels with an occurrence outside every * / + scope."""
+    match e:
+        case Symbol(name):
+            return {name}
+        case Concat(items) | Disj(items):
+            return set().union(*map(_outside_stars, items))
+        case Hash(left, right):
+            return set().union(*map(_outside_stars, left + right))
+        case Opt(item):
+            return _outside_stars(item)
+    return set()
 
 
 def is_mrw(e: Expr) -> bool:
-    if not is_rw(e):
-        return False
-    counts, outside = _label_star_scope(e)
-    return all(lbl not in outside for lbl, n in counts.items() if n >= 2)
+    counts = symbol_counts(e)
+    return is_rw(e) and all(counts[lbl] == 1 for lbl in _outside_stars(e))
 
 
 def is_mdf_dc(e: Expr) -> bool:
@@ -303,15 +291,41 @@ def _some_word_within(e: Expr, allowed: Container[str]) -> bool:
     raise TypeError(f"not an expression: {e!r}")
 
 
-# --- parsing: native format -------------------------------------------------
+# --- parsing ----------------------------------------------------------------
+
+def _build(decls: list[tuple[str, str, str]], root: str | None, noun: str,
+           parse_model: Callable[[str, str, frozenset[str]], Expr]) -> Dtd:
+    """The one way from declarations `(name, model text, where)` to a Dtd:
+    `where` prefixes the errors about that name, `noun` names a declaration
+    in errors, and the root defaults to the first declaration."""
+    seen: set[str] = set()
+    for name, _, where in decls:
+        if not cm.is_label(name):
+            raise ParseError(f"{where}bad label {name!r}")
+        if name == "eps":
+            raise ParseError(f"{where}'eps' is reserved")
+        if name in seen:
+            raise ParseError(f"duplicate {noun} for {name!r}")
+        seen.add(name)
+    alphabet = frozenset(seen)
+    rules = {name: parse_model(name, text, alphabet) for name, text, _ in decls}
+    root = root or decls[0][0]
+    if root not in rules:
+        raise ParseError(f"root {root!r} has no {noun}")
+    return Dtd(root, rules)
+
 
 def parse_dtd(text: str) -> Dtd:
     """Line format: optional `root <label>`, then `<label> := <model>` lines.
     Lines whose first non-blank character is '#' are comments (mid-line '#'
     is the either-or-both operator).  Without a root directive the first rule
     is the root."""
-    root: str | None = None
-    raw_rules: list[tuple[str, str]] = []
+    return _native_dtd(text, None)
+
+
+def _native_dtd(text: str, root: str | None) -> Dtd:
+    named: str | None = None
+    decls: list[tuple[str, str, str]] = []
     for lineno, line in enumerate(text.splitlines(), 1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -320,34 +334,18 @@ def parse_dtd(text: str) -> Dtd:
             parts = stripped.split()
             if len(parts) != 2:
                 raise ParseError(f"line {lineno}: malformed root directive")
-            if root is not None:
+            if named is not None:
                 raise ParseError(f"line {lineno}: duplicate root directive")
-            root = parts[1]
-            continue
-        if ":=" not in stripped:
+            named = parts[1]
+        elif ":=" not in stripped:
             raise ParseError(f"line {lineno}: expected '<label> := <model>'")
-        lhs, rhs = stripped.split(":=", 1)
-        lhs = lhs.strip()
-        if not cm.is_label(lhs):
-            raise ParseError(f"line {lineno}: bad label {lhs!r}")
-        if lhs == "eps":
-            raise ParseError(f"line {lineno}: 'eps' is reserved")
-        raw_rules.append((lhs, rhs.strip()))
-
-    if not raw_rules:
+        else:
+            lhs, rhs = stripped.split(":=", 1)
+            decls.append((lhs.strip(), rhs.strip(), f"line {lineno}: "))
+    if not decls:
         raise ParseError("DTD declares no rules")
-    seen: set[str] = set()
-    for lhs, _ in raw_rules:
-        if lhs in seen:
-            raise ParseError(f"duplicate rule for {lhs!r}")
-        seen.add(lhs)
-    alphabet = frozenset(seen)
-    rules = {lhs: parse_content_model(rhs, alphabet) for lhs, rhs in raw_rules}
-    if root is None:
-        root = raw_rules[0][0]
-    if root not in rules:
-        raise ParseError(f"root {root!r} has no rule")
-    return Dtd(root, rules)
+    return _build(decls, root or named, "rule",
+                  lambda _, model, alphabet: parse_content_model(model, alphabet))
 
 
 def render_dtd(d: Dtd) -> str:
@@ -356,7 +354,15 @@ def render_dtd(d: Dtd) -> str:
     return "\n".join(lines) + "\n"
 
 
-# --- parsing: XML DTD subset --------------------------------------------------
+# one markup item or whitespace; an item left open, an unsupported one, or
+# any other character is a refusal (the named groups after `element`)
+_XML_ITEM = re.compile(
+    r"<!--\s*root:(?P<root>.*?)-->|<!--.*?-->|<!ELEMENT\s*(?P<element>[^>]*?)\s*>"
+    r"|<!ATTLIST[^>]*>|\s+|(?P<unterminated><!--|<!ELEMENT|<!ATTLIST)"
+    r"|(?P<entity><!ENTITY|%)|(?P<conditional><!\[)|(?P<other>.)",
+    re.DOTALL,
+)
+
 
 def parse_xml_dtd(text: str, root: str | None = None) -> Dtd:
     """<!ELEMENT name (model)> declarations with the connectors ',' '|' and
@@ -365,67 +371,29 @@ def parse_xml_dtd(text: str, root: str | None = None) -> Dtd:
     is skipped; entities and conditional sections are rejected.  The root is
     the explicit argument, else a `<!-- root: name -->` comment, else the
     first declared element."""
-    comment_root: str | None = None
-    decls: list[tuple[str, str]] = []
-    i = 0
-    while i < len(text):
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if text.startswith("<!--", i):
-            end = text.find("-->", i + 4)
-            if end < 0:
-                raise ParseError("unterminated comment")
-            body = text[i + 4:end].strip()
-            if body.startswith("root:"):
-                comment_root = body[5:].strip()
-            i = end + 3
-            continue
-        if text.startswith("<!ELEMENT", i):
-            end = text.find(">", i)
-            if end < 0:
-                raise ParseError("unterminated <!ELEMENT")
-            inner = text[i + len("<!ELEMENT"):end].strip()
-            parts = inner.split(None, 1)
+    named: str | None = None
+    decls: list[tuple[str, str, str]] = []
+    for m in _XML_ITEM.finditer(text):
+        kind = m.lastgroup
+        if kind == "root":
+            named = m[kind].strip()
+        elif kind == "element":
+            parts = m[kind].split(None, 1)
             if len(parts) != 2:
-                raise ParseError(f"malformed element declaration: {inner!r}")
-            if not cm.is_label(parts[0]):
-                raise ParseError(f"bad label {parts[0]!r}")
-            if parts[0] == "eps":
-                raise ParseError("'eps' is reserved")
-            decls.append((parts[0], parts[1].strip()))
-            i = end + 1
-            continue
-        if text.startswith("<!ATTLIST", i):
-            end = text.find(">", i)
-            if end < 0:
-                raise ParseError("unterminated <!ATTLIST")
-            i = end + 1
-            continue
-        if text.startswith("<!ENTITY", i) or c == "%":
+                raise ParseError(f"malformed element declaration: {m[kind]!r}")
+            decls.append((*parts, ""))
+        elif kind == "unterminated":
+            raise ParseError(f"unterminated {m[kind].replace('<!--', 'comment')}")
+        elif kind == "entity":
             raise ParseError("entities are not supported")
-        if text.startswith("<![", i):
+        elif kind == "conditional":
             raise ParseError("conditional sections are not supported")
-        raise ParseError(f"unexpected content at offset {i}: {text[i:i+20]!r}")
-
+        elif kind == "other":
+            i = m.start()
+            raise ParseError(f"unexpected content at offset {i}: {text[i:i+20]!r}")
     if not decls:
         raise ParseError("no element declarations")
-    seen: set[str] = set()
-    for name, _ in decls:
-        if name in seen:
-            raise ParseError(f"duplicate declaration for {name!r}")
-        seen.add(name)
-    alphabet = frozenset(seen)
-
-    rules: dict[str, Expr] = {}
-    for name, model_text in decls:
-        rules[name] = _xml_content_model(name, model_text, alphabet)
-
-    chosen = root or comment_root or decls[0][0]
-    if chosen not in rules:
-        raise ParseError(f"root {chosen!r} has no declaration")
-    return Dtd(chosen, rules)
+    return _build(decls, root or named, "declaration", _xml_content_model)
 
 
 def _xml_content_model(name: str, text: str, alphabet: frozenset[str]) -> Expr:
@@ -445,13 +413,9 @@ def _xml_content_model(name: str, text: str, alphabet: frozenset[str]) -> Expr:
 
 
 def load_dtd(text: str, fmt: str = "native", root: str | None = None) -> Dtd:
+    """Read either format; `root` overrides the root the text names."""
     if fmt == "native":
-        d = parse_dtd(text)
-        if root is not None and root != d.root:
-            if root not in d.rules:
-                raise ParseError(f"root {root!r} has no rule")
-            d = Dtd(root, d.rules)
-        return d
+        return _native_dtd(text, root)
     if fmt == "xml-dtd":
         return parse_xml_dtd(text, root)
     raise ParseError(f"unknown DTD format {fmt!r}")

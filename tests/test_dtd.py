@@ -1,5 +1,7 @@
 """DTD classification, normalization, parsing, and sanity checks."""
 
+import copy
+import pickle
 import random
 import re
 
@@ -9,7 +11,8 @@ from xpathsat import (
     Concat, Disj, Dtd, DtdError, Epsilon, Hash, NotMRW, Opt, ParseError,
     Plus, Star, Symbol, classify_dtd, classify_model, delta, delta_dtd,
     equivalent, is_dc, is_dc_qph, is_df, is_mdf_dc, is_mrw, is_rw, load_dtd,
-    parse_content_model, parse_dtd, parse_xml_dtd, render, render_dtd,
+    oracle_satisfiable, parse_content_model, parse_dtd, parse_xml_dtd,
+    parse_xpath, render, render_dtd, render_tree, satisfiable,
     validate_no_useless,
 )
 from xpathsat import dtd as dtd_module, oracle as oracle_module
@@ -17,7 +20,7 @@ from xpathsat.content_model import concat_of, disj_of, symbols
 from xpathsat.dtd import min_heights
 
 from gens import (
-    random_content_model, random_mdf_dc_dtd, random_mrw_model,
+    dense_dtd, random_content_model, random_mdf_dc_dtd, random_mrw_model,
     random_recursive_mdf_dc_dtd,
 )
 from support import reference_min_heights, subsequence_preserves
@@ -417,3 +420,99 @@ def test_parse_xml_dtd_root_resolution():
     assert parse_xml_dtd(text).root == "r"          # first declaration
     assert parse_xml_dtd(text, root="a").root == "a"
     assert load_dtd(text, "xml-dtd", root="a").root == "a"
+
+
+# --- both readers -------------------------------------------------------------------
+
+REFUSALS = [
+    # xml-dtd: the scan
+    ("xml-dtd", "<!-- root: r", "unterminated comment"),
+    ("xml-dtd", "<!ELEMENT r EMPTY", "unterminated <!ELEMENT"),
+    ("xml-dtd", "<!ELEMENT r EMPTY><!ATTLIST r x CDATA #IMPLIED",
+     "unterminated <!ATTLIST"),
+    ("xml-dtd", '<!ENTITY x "y"><!ELEMENT r EMPTY>', "entities are not supported"),
+    ("xml-dtd", "%x;<!ELEMENT r EMPTY>", "entities are not supported"),
+    ("xml-dtd", "<![INCLUDE[<!ELEMENT r EMPTY>]]>",
+     "conditional sections are not supported"),
+    ("xml-dtd", "<!ELEMENT r EMPTY>\n  junk after the declarations",
+     "unexpected content at offset 21: 'junk after the decla'"),
+    ("xml-dtd", "<!ELEMENT r>", "malformed element declaration: 'r'"),
+    ("xml-dtd", "<!-- root: r -->", "no element declarations"),
+    ("xml-dtd", "", "no element declarations"),
+    # xml-dtd: names, models and the root
+    ("xml-dtd", "<!ELEMENT 9r EMPTY>", "bad label '9r'"),
+    ("xml-dtd", "<!ELEMENT r EMPTY><!ELEMENT eps EMPTY>", "'eps' is reserved"),
+    ("xml-dtd", "<!ELEMENT r (a)><!ELEMENT a EMPTY><!ELEMENT a EMPTY>",
+     "duplicate declaration for 'a'"),
+    ("xml-dtd", "<!-- root: q --><!ELEMENT r EMPTY>", "root 'q' has no declaration"),
+    ("xml-dtd", "<!ELEMENT r ANY>", "r: ANY content is not supported"),
+    ("xml-dtd", "<!ELEMENT r (#PCDATA|a)*><!ELEMENT a EMPTY>",
+     "r: mixed content beyond (#PCDATA) is not supported"),
+    ("xml-dtd", "<!ELEMENT r (q)>", "r: cannot split 'q' into declared labels"),
+    # native: the line scan
+    ("native", "root\nr := eps\n", "line 1: malformed root directive"),
+    ("native", "r := eps\nroot a b\n", "line 2: malformed root directive"),
+    ("native", "root r\nroot r\nr := eps\n", "line 2: duplicate root directive"),
+    ("native", "root r\nr = eps\n", "line 2: expected '<label> := <model>'"),
+    ("native", "", "DTD declares no rules"),
+    ("native", "# only a comment\nroot r\n", "DTD declares no rules"),
+    # native: names, models and the root
+    ("native", "# c\n9r := eps\n", "line 2: bad label '9r'"),
+    ("native", "r := a\n\neps := eps\n", "line 3: 'eps' is reserved"),
+    ("native", "root r\nr := a\na := eps\na := eps\n", "duplicate rule for 'a'"),
+    ("native", "root q\nr := eps\n", "root 'q' has no rule"),
+    ("native", "root r\nr := q\n", "cannot split 'q' into declared labels"),
+]
+
+
+@pytest.mark.parametrize("fmt,text,message", REFUSALS)
+def test_reader_refusals(fmt, text, message):
+    read = parse_dtd if fmt == "native" else parse_xml_dtd
+    for refuse in (lambda: read(text), lambda: load_dtd(text, fmt)):
+        with pytest.raises(ParseError) as info:
+            refuse()
+        assert str(info.value) == message
+
+
+@pytest.mark.parametrize("fmt,text,noun", [
+    ("native", "r := eps\n", "rule"),
+    ("xml-dtd", "<!ELEMENT r EMPTY>", "declaration"),
+])
+def test_root_override_with_no_rule_is_refused(fmt, text, noun):
+    with pytest.raises(ParseError) as info:
+        load_dtd(text, fmt, root="q")
+    assert str(info.value) == f"root 'q' has no {noun}"
+
+
+def _as_xml(d):
+    return f"<!-- root: {d.root} -->\n" + "".join(
+        f"<!ELEMENT {lbl} {render(d.model(lbl))}>\n" for lbl in d.labels
+    )
+
+
+def test_both_readers_agree_on_random_dtds():
+    rng = random.Random(5)
+    labels = ("r", "a", "b", "c", "d")
+    dtds = [dense_dtd(n) for n in (1, 3, 12)]
+    for _ in range(100):
+        dtds.append(random_mdf_dc_dtd(rng))
+        dtds.append(random_recursive_mdf_dc_dtd(rng))
+        rules = {lbl: random_content_model(rng, labels) for lbl in labels}
+        dtds.append(Dtd(rng.choice(labels), rules))
+    for d in dtds:
+        native = parse_dtd(render_dtd(d))
+        assert native == parse_xml_dtd(_as_xml(d)) == load_dtd(_as_xml(d), "xml-dtd")
+        assert (native.root, native.labels) == (d.root, d.labels)
+
+
+def test_pickles_and_copies_carry_only_the_declaration():
+    d = parse_dtd(WORKED)
+    size = len(pickle.dumps(d))
+    q = parse_xpath("↓::r/→⁺::b[↓::a]")
+    sat = satisfiable(d, q).sat
+    witness = render_tree(oracle_satisfiable(d, q, 3, 2))
+    assert len(pickle.dumps(d)) == size
+    for other in (pickle.loads(pickle.dumps(d)), copy.copy(d), copy.deepcopy(d)):
+        assert other == d and set(vars(other)) == {"root", "rules", "order"}
+        assert satisfiable(other, q).sat is sat
+        assert render_tree(oracle_satisfiable(other, q, 3, 2)) == witness
