@@ -25,14 +25,14 @@ from .oracle import (
     oracle_satisfiable, parse_tree, render_tree, satisfies, words_capped,
 )
 from .sat_checker import (
-    Eval2Tuple, Verdict, compile_dtd, eval1, eval2, render_state,
+    Eval2Tuple, Verdict, compile_dtd, eval1, eval2, fragment_of, render_state,
     render_tuple_set, satisfiable,
 )
 from .schema_graph import (
     DcFactor, SchemaGraph, SgNode, build_schema_graph, dc_convert,
 )
 from .xpath import (
-    Axis, Path, QAnd, QOr, QPath, Qual, Seq, Step, Union, fragment_of,
+    Axis, Path, QAnd, QOr, QPath, Qual, Seq, Step, Union,
     normalize, parse_xpath, render_xpath, size,
 )
 

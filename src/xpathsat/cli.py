@@ -125,9 +125,10 @@ def _cmd_delta(args) -> int:
     d = _load_dtd(args)
     dd = dtdmod.delta_dtd(d)
     if args.json:
+        alphabet = frozenset(dd.labels)
         _emit_json({
             "root": dd.root,
-            "rules": {lbl: cm.render(dd.model(lbl)) for lbl in dd.labels},
+            "rules": {lbl: cm.render(dd.model(lbl), alphabet) for lbl in dd.labels},
         })
     else:
         print(dtdmod.render_dtd(dd), end="")

@@ -17,11 +17,12 @@ import re
 from collections import deque
 from collections.abc import Callable
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, TypeVar
 
 from .errors import ParseError
 
 Word = tuple[str, ...]
+T = TypeVar("T")
 
 
 # --- AST -------------------------------------------------------------------
@@ -187,6 +188,19 @@ class Cursor:
         if got != tok:
             raise ParseError(f"expected {tok!r}, got {got!r}")
 
+    def whole(self, rule: Callable[["Cursor"], T]) -> T:
+        """`rule` read over the whole token list, which must be non-empty
+        and leave nothing behind."""
+        if not self.toks:
+            raise ParseError(f"empty {self.what}")
+        try:
+            out = rule(self)
+        except RecursionError:
+            raise ParseError(f"{self.what} nested too deeply") from None
+        if self.peek() is not None:
+            raise ParseError(f"trailing input from token {self.peek()!r}")
+        return out
+
 
 def _segment(run: str, alphabet: Optional[frozenset[str]]) -> list[str]:
     """Split a label run into labels.
@@ -300,17 +314,7 @@ def _operands(e: Expr) -> tuple[Expr, ...]:
 
 def parse_content_model(text: str, alphabet: Optional[frozenset[str]] = None) -> Expr:
     """Parse a content model.  With an alphabet, unknown labels are errors."""
-    toks = _tokenize(text, alphabet)
-    if not toks:
-        raise ParseError("empty content model")
-    p = _Parser(toks, "content model")
-    try:
-        e = p.parse_expr()
-    except RecursionError:
-        raise ParseError("content model nested too deeply") from None
-    if p.peek() is not None:
-        raise ParseError(f"trailing input from token {p.peek()!r}")
-    return e
+    return _Parser(_tokenize(text, alphabet), "content model").whole(_Parser.parse_expr)
 
 
 # --- printing --------------------------------------------------------------
@@ -321,49 +325,56 @@ _PREC_POSTFIX = 2
 _PREC_TIGHT = 3     # directly under a postfix operator
 
 
-def render(e: Expr) -> str:
-    """Deterministic text form.  Single-letter labels juxtapose (abc); a comma
-    separates factors only when their renderings would otherwise merge into
-    one longer label."""
-    return _render(e, _PREC_DISJ)
+def render(e: Expr, alphabet: Optional[frozenset[str]] = None) -> str:
+    """Deterministic text that `parse_content_model` reads back as e under the
+    same alphabet.  Single-letter labels juxtapose (abc) while their run reads
+    back as those letters: never `eps`, and no declared longer label ends in
+    it.  A comma separates any other labels that meet."""
+    longer: dict[str, list[str]] = {}  # last letter -> longer labels ending in it
+    for lbl in alphabet or ():
+        if len(lbl) > 1:
+            longer.setdefault(lbl[-1], []).append(lbl)
+    return _render(e, _PREC_DISJ, longer)
 
 
-def _render(e: Expr, prec: int) -> str:
+def _render(e: Expr, prec: int, longer: dict[str, list[str]]) -> str:
     match e:
         case Epsilon():
             return "eps"
         case Symbol(name):
             return name
         case Star(item):
-            return _render(item, _PREC_TIGHT) + "*"
+            return _render(item, _PREC_TIGHT, longer) + "*"
         case Opt(item):
-            return _render(item, _PREC_TIGHT) + "?"
+            return _render(item, _PREC_TIGHT, longer) + "?"
         case Plus(item):
-            return _render(item, _PREC_TIGHT) + "+"
+            return _render(item, _PREC_TIGHT, longer) + "+"
         case Disj(items):
-            s = "|".join(_render(it, _PREC_CONCAT) for it in items)
+            s = "|".join(_render(it, _PREC_CONCAT, longer) for it in items)
             return f"({s})" if prec > _PREC_DISJ else s
         case Concat(items):
-            # Single-char labels juxtapose for display ("a*bcda*"); a comma is
-            # inserted only where a multi-char label would fuse with its
-            # neighbor into a different label.
-            rendered = [_render(it, _PREC_POSTFIX) for it in items]
-            out = rendered[0]
-            last = _edge_tokens(rendered[0])[1]
-            for part in rendered[1:]:
+            # "a*bcda*": run is the label run out ends with, as the reader
+            # will see it; a letter joins it only if it stays those letters
+            out, last, run = "", None, ""
+            for it in items:
+                part = _render(it, _PREC_POSTFIX, longer)
                 first, part_last = _edge_tokens(part)
-                if last is not None and first is not None and (
-                    len(last) > 1 or len(first) > 1
-                ):
-                    out += ","
+                if last and first:  # two labels meet
+                    run += first
+                    if len(last) > 1 or len(first) > 1 or run == "eps" or any(
+                            map(run.endswith, longer.get(first, ()))):
+                        out += ","
+                        run = first
+                else:
+                    run = first or ""
                 out += part
                 last = part_last
             return f"({out})" if prec > _PREC_CONCAT else out
         case Hash(left, right):
             # operands at postfix level so a concat operand keeps its parens
             # and stays one operand on re-parse
-            ls = ",".join(_render(it, _PREC_POSTFIX) for it in left)
-            rs = ",".join(_render(it, _PREC_POSTFIX) for it in right)
+            ls = ",".join(_render(it, _PREC_POSTFIX, longer) for it in left)
+            rs = ",".join(_render(it, _PREC_POSTFIX, longer) for it in right)
             s = f"({ls})#({rs})"
             return f"({s})" if prec > _PREC_POSTFIX else s
     raise TypeError(f"not an expression: {e!r}")
@@ -378,7 +389,23 @@ def _edge_tokens(s: str) -> tuple[Optional[str], Optional[str]]:
     return first, last
 
 
-# --- hash expansion --------------------------------------------------------
+# --- rewriting -------------------------------------------------------------
+
+def rebuilt(e: Expr, rewrite: Callable[[Expr], Expr]) -> Expr:
+    """e rebuilt from its operands, each passed through `rewrite`."""
+    match e:
+        case Epsilon() | Symbol(_):
+            return e
+        case Concat(items):
+            return concat_of([rewrite(it) for it in items])
+        case Disj(items):
+            return disj_of([rewrite(it) for it in items])
+        case Star(item) | Opt(item) | Plus(item):
+            return type(e)(rewrite(item))
+        case Hash(left, right):
+            return Hash(tuple(map(rewrite, left)), tuple(map(rewrite, right)))
+    raise TypeError(f"not an expression: {e!r}")
+
 
 def expand_hash(e: Expr) -> Expr:
     """Rewrite every # into plain operators.
@@ -387,26 +414,12 @@ def expand_hash(e: Expr) -> Expr:
     tuple, or both in order, so it expands to
     a1..am b1?..bl? | a1?..am? b1..bl.
     """
-    match e:
-        case Epsilon() | Symbol(_):
-            return e
-        case Concat(items):
-            return concat_of([expand_hash(it) for it in items])
-        case Disj(items):
-            return disj_of([expand_hash(it) for it in items])
-        case Star(item):
-            return Star(expand_hash(item))
-        case Opt(item):
-            return Opt(expand_hash(item))
-        case Plus(item):
-            return Plus(expand_hash(item))
-        case Hash(left, right):
-            ls = [expand_hash(it) for it in left]
-            rs = [expand_hash(it) for it in right]
-            both_l = concat_of([*ls, *[Opt(r) for r in rs]])
-            both_r = concat_of([*[Opt(l) for l in ls], *rs])
-            return disj_of([both_l, both_r])
-    raise TypeError(f"not an expression: {e!r}")
+    e = rebuilt(e, expand_hash)
+    if not isinstance(e, Hash):
+        return e
+    both_l = concat_of([*e.left, *map(Opt, e.right)])
+    both_r = concat_of([*map(Opt, e.left), *e.right])
+    return disj_of([both_l, both_r])
 
 
 # --- position automaton ----------------------------------------------------

@@ -33,7 +33,7 @@ from . import content_model as cm
 from .constraints import Cover
 from .content_model import (
     Concat, Disj, Epsilon, Expr, Hash, Opt, Plus, Star, Symbol,
-    concat_of, disj_of, parse_content_model, render, symbol_counts,
+    concat_of, parse_content_model, render, symbol_counts,
 )
 from .errors import DtdError, NotMRW, ParseError
 
@@ -187,21 +187,13 @@ def delta(e: Expr) -> Expr:
     concatenates # operands.  Preserves which label subsequences are
     realizable, which is all the satisfiability algorithms depend on."""
     match e:
-        case Epsilon() | Symbol(_):
-            return e
-        case Concat(items):
-            return concat_of([delta(it) for it in items])
-        case Disj(items):
-            return disj_of([delta(it) for it in items])
-        case Star(item):
-            return Star(delta(item))
         case Plus(item):
             return Star(delta(item))
         case Opt(item):
             return delta(item)
         case Hash(left, right):
             return concat_of([delta(it) for it in left + right])
-    raise TypeError(f"not an expression: {e!r}")
+    return cm.rebuilt(e, delta)
 
 
 def delta_dtd(d: Dtd) -> Dtd:
@@ -211,7 +203,7 @@ def delta_dtd(d: Dtd) -> Dtd:
     for lbl in d.labels:
         e = d.model(lbl)
         if not is_mrw(e):
-            raise NotMRW(lbl, render(e))
+            raise NotMRW(lbl, render(e, frozenset(d.labels)))
         new_rules[lbl] = delta(e)
     return Dtd(d.root, new_rules)
 
@@ -223,13 +215,11 @@ def validate_no_useless(d: Dtd) -> None:
     tree.  Both make schema-graph nodes meaningless."""
     reachable = {d.root}
     frontier = [d.root]
-    users: dict[str, list[str]] = {lbl: [] for lbl in d.labels}
     while frontier:
         lbl = frontier.pop()
         for s in cm.symbols(d.model(lbl)):
             if s not in d.rules:
                 raise DtdError(f"model of {lbl!r} uses undeclared label {s!r}")
-            users[s].append(lbl)
             if s not in reachable:
                 reachable.add(s)
                 frontier.append(s)
@@ -237,28 +227,20 @@ def validate_no_useless(d: Dtd) -> None:
     if unreachable:
         raise DtdError(f"unreachable labels: {', '.join(sorted(unreachable))}")
 
-    heights = _heights(d, users)
-    dead = [lbl for lbl in d.labels if lbl not in heights]
+    dead = [lbl for lbl, h in min_heights(d).items() if h < 0]
     if dead:
         raise DtdError(f"labels with no finite tree: {', '.join(sorted(dead))}")
 
 
 def min_heights(d: Dtd) -> dict[str, int]:
     """Least height of a conforming tree per label (a lone leaf has height 1),
-    -1 for a label that heads no finite tree."""
+    -1 for a label that heads no finite tree.  Found in layers: a label of
+    height k has a word over lower labels, one of height k-1, so each layer
+    checks only the users of the labels the layer before found."""
     users: dict[str, list[str]] = {}
     for lbl in d.labels:
         for s in cm.symbols(d.model(lbl)):
             users.setdefault(s, []).append(lbl)
-    heights = _heights(d, users)
-    return {lbl: heights.get(lbl, -1) for lbl in d.labels}
-
-
-def _heights(d: Dtd, users: dict[str, list[str]]) -> dict[str, int]:
-    """The least tree height of every label that heads a finite tree, found
-    in layers.  A label of height k has a word over labels of height below k,
-    one of them of height k-1, so after the first layer only the users of the
-    labels found in the layer before are checked."""
     heights: dict[str, int] = {}
     layer: Iterable[str] = d.labels
     k = 1
@@ -267,7 +249,7 @@ def _heights(d: Dtd, users: dict[str, list[str]]) -> dict[str, int]:
         heights.update(dict.fromkeys(found, k))
         layer = {u for lbl in found for u in users.get(lbl, ()) if u not in heights}
         k += 1
-    return heights
+    return {lbl: heights.get(lbl, -1) for lbl in d.labels}
 
 
 def _some_word_within(e: Expr, allowed: Container[str]) -> bool:
@@ -330,18 +312,18 @@ def _native_dtd(text: str, root: str | None) -> Dtd:
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
-        if stripped.startswith("root ") or stripped == "root":
+        if ":=" in stripped:
+            lhs, rhs = stripped.split(":=", 1)
+            decls.append((lhs.strip(), rhs.strip(), f"line {lineno}: "))
+        elif stripped.startswith("root ") or stripped == "root":
             parts = stripped.split()
             if len(parts) != 2:
                 raise ParseError(f"line {lineno}: malformed root directive")
             if named is not None:
                 raise ParseError(f"line {lineno}: duplicate root directive")
             named = parts[1]
-        elif ":=" not in stripped:
-            raise ParseError(f"line {lineno}: expected '<label> := <model>'")
         else:
-            lhs, rhs = stripped.split(":=", 1)
-            decls.append((lhs.strip(), rhs.strip(), f"line {lineno}: "))
+            raise ParseError(f"line {lineno}: expected '<label> := <model>'")
     if not decls:
         raise ParseError("DTD declares no rules")
     return _build(decls, root or named, "rule",
@@ -349,8 +331,9 @@ def _native_dtd(text: str, root: str | None) -> Dtd:
 
 
 def render_dtd(d: Dtd) -> str:
+    alphabet = frozenset(d.labels)
     lines = [f"root {d.root}"]
-    lines += [f"{lbl} := {render(d.model(lbl))}" for lbl in d.labels]
+    lines += [f"{lbl} := {render(d.model(lbl), alphabet)}" for lbl in d.labels]
     return "\n".join(lines) + "\n"
 
 

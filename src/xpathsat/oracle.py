@@ -56,27 +56,23 @@ _tree_tokens = cm.lexer(r"[(),]", "tree term")
 
 
 def parse_tree(text: str) -> DocTree:
-    cur = cm.Cursor(_tree_tokens(text), "tree term")
+    return cm.Cursor(_tree_tokens(text), "tree term").whole(_term)
 
-    def term() -> DocTree:
-        label = cur.take()
-        if label[0] not in cm.LABEL_START:
-            raise ParseError(f"bad node label {label!r}")
-        children: list[DocTree] = []
-        if cur.peek() == "(":
+
+def _term(cur: cm.Cursor) -> DocTree:
+    label = cur.take()
+    if label[0] not in cm.LABEL_START:
+        raise ParseError(f"bad node label {label!r}")
+    children: list[DocTree] = []
+    if cur.peek() == "(":
+        cur.take()
+        children.append(_term(cur))
+        while cur.peek() == ",":
             cur.take()
-            children.append(term())
-            while cur.peek() == ",":
-                cur.take()
-                children.append(term())
-            if cur.take() != ")":
-                raise ParseError("expected ')' in tree term")
-        return DocTree(label, tuple(children))
-
-    t = term()
-    if cur.peek() is not None:
-        raise ParseError(f"trailing input in tree term: {cur.peek()!r}")
-    return t
+            children.append(_term(cur))
+        if cur.take() != ")":
+            raise ParseError("expected ')' in tree term")
+    return DocTree(label, tuple(children))
 
 
 # --- conformance ---------------------------------------------------------------

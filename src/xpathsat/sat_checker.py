@@ -22,7 +22,8 @@ Two complete procedures, each polynomial on its fragment:
 
 Both report UNSAT when every candidate run dies, either by running out of
 admissible places or by demanding children no single content-model word
-provides.
+provides.  `fragment_of` names the procedure whose fragment holds a query,
+and `satisfiable` routes by it.
 
 Known incompleteness: eval2 keys requirements by label path, so two
 siblings with one label share one entry and a satisfiable query can come
@@ -42,8 +43,8 @@ from .dtd import Dtd, delta_dtd, validate_no_useless
 from .errors import UnsupportedFragment
 from .schema_graph import SchemaGraph, SgNode, build_schema_graph
 from .xpath import (
-    ARROW, Axis, Path, QPath, Qual, Seq, Step, Union,
-    fragment_of, normalize, parse_xpath, render_xpath,
+    ARROW, Axis, Path, QAnd, QOr, QPath, Qexpr, Qual, Seq, Step, Union,
+    normalize, parse_xpath, render_xpath,
 )
 
 
@@ -450,6 +451,40 @@ def _accepting(t: Eval2Tuple, graph: SchemaGraph) -> bool:
 
 
 # --- routing -----------------------------------------------------------------
+
+def _collect(p: Path | Qexpr, axes: set[Axis], kinds: set[type]) -> None:
+    kinds.add(type(p))
+    match p:
+        case Step(axis, _):
+            axes.add(axis)
+        case Seq(parts) | Union(parts) | QAnd(parts) | QOr(parts):
+            for x in parts:
+                if type(x) is Step:
+                    axes.add(x.axis)
+                else:
+                    _collect(x, axes, kinds)
+        case Qual(base, quals):
+            for x in (base, *quals):
+                _collect(x, axes, kinds)
+        case QPath(path):
+            _collect(path, axes, kinds)
+
+
+_EVAL1_AXES = {Axis.CHILD, Axis.PARENT, Axis.FSIB, Axis.PSIB}
+_EVAL2_AXES = {Axis.CHILD, Axis.FSIB, Axis.PSIB}
+
+
+def fragment_of(p: Path) -> str:
+    """Which decision procedure fits: 'eval1', 'eval2', or 'full' (neither)."""
+    axes: set[Axis] = set()
+    kinds: set[type] = set()
+    _collect(p, axes, kinds)
+    if not kinds & {Union, Qual} and axes <= _EVAL1_AXES:
+        return "eval1"
+    if not kinds & {Union, QOr} and axes <= _EVAL2_AXES:
+        return "eval2"
+    return "full"
+
 
 def compile_dtd(d: Dtd) -> SchemaGraph:
     """The schema graph every query on d runs on: d checked for useless

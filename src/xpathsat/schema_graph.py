@@ -95,7 +95,7 @@ class SchemaGraph:
             model = d.model(lbl)
             if not is_mdf_dc(model):
                 if not is_mrw(model):
-                    raise NotMRW(lbl, render(model))
+                    raise NotMRW(lbl, render(model, frozenset(d.labels)))
                 raise DtdError(
                     f"model of {lbl!r} is MRW but not MDF/DC; normalize it first"
                 )

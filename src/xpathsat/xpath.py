@@ -24,6 +24,7 @@ The lexer reads each well-formed step (axis, `::`, label) whole, in one
 match, so a run of unqualified steps parses without a token-by-token walk.
 A parsed query holds one `Step` object per distinct step: equal steps share
 it.  `normalize` returns its input, not a copy, when nothing in it splits.
+Syntax only: which decider fits a query is `sat_checker.fragment_of`.
 """
 
 from __future__ import annotations
@@ -238,17 +239,7 @@ _CONNECTIVES = {"and": QAnd, "or": QOr}
 
 
 def parse_xpath(text: str) -> Path:
-    toks = _tokenize(text)
-    if not toks:
-        raise ParseError("empty query")
-    p = _Parser(toks, "query")
-    try:
-        out = p.parse_pathexpr()
-    except RecursionError:
-        raise ParseError("query nested too deeply") from None
-    if p.peek() is not None:
-        raise ParseError(f"trailing input from token {p.peek()!r}")
-    return out
+    return _Parser(_tokenize(text), "query").whole(_Parser.parse_pathexpr)
 
 
 # --- printing ----------------------------------------------------------------
@@ -304,40 +295,6 @@ def size(p: Path | Qexpr) -> int:
         case QPath(path):
             return size(path)
     raise TypeError(f"not a path: {p!r}")
-
-
-def _collect(p: Path | Qexpr, axes: set[Axis], kinds: set[type]) -> None:
-    kinds.add(type(p))
-    match p:
-        case Step(axis, _):
-            axes.add(axis)
-        case Seq(parts) | Union(parts) | QAnd(parts) | QOr(parts):
-            for x in parts:
-                if type(x) is Step:
-                    axes.add(x.axis)
-                else:
-                    _collect(x, axes, kinds)
-        case Qual(base, quals):
-            for x in (base, *quals):
-                _collect(x, axes, kinds)
-        case QPath(path):
-            _collect(path, axes, kinds)
-
-
-_EVAL1_AXES = {Axis.CHILD, Axis.PARENT, Axis.FSIB, Axis.PSIB}
-_EVAL2_AXES = {Axis.CHILD, Axis.FSIB, Axis.PSIB}
-
-
-def fragment_of(p: Path) -> str:
-    """Which decision procedure fits: 'eval1', 'eval2', or 'full' (neither)."""
-    axes: set[Axis] = set()
-    kinds: set[type] = set()
-    _collect(p, axes, kinds)
-    if not kinds & {Union, Qual} and axes <= _EVAL1_AXES:
-        return "eval1"
-    if not kinds & {Union, QOr} and axes <= _EVAL2_AXES:
-        return "eval2"
-    return "full"
 
 
 # --- qualifier normalization ---------------------------------------------------

@@ -15,6 +15,7 @@ import sys
 import pytest
 
 from xpathsat import sat_checker
+from xpathsat import load_dtd, parse_content_model, parse_dtd
 from xpathsat.cli import main
 
 WORKED = "root r\nr := r*(a*b|c)r*\na := eps\nb := a\nc := eps\n"
@@ -360,6 +361,35 @@ def test_delta_model_rejects_non_mrw():
 def test_delta_dtd(worked_file):
     # the worked DTD is already normal, so it comes back unchanged
     assert run(["delta", "--dtd", worked_file]) == (0, WORKED, "")
+
+
+@pytest.mark.parametrize("fmt, text", [
+    ("native", "r := e p s\ne := eps\np := eps\ns := eps\n"),
+    ("native", "r := a b ab\na := eps\nb := eps\nab := eps\n"),
+    ("native", "root := a*\na := eps\n"),
+    ("xml-dtd", "<!ELEMENT r (e,p,s)> <!ELEMENT e EMPTY> <!ELEMENT p EMPTY> <!ELEMENT s EMPTY>"),
+    ("xml-dtd", "<!ELEMENT r (a,b,ab)> <!ELEMENT a EMPTY> <!ELEMENT b EMPTY> <!ELEMENT ab EMPTY>"),
+    ("xml-dtd", "<!ELEMENT root (a*)> <!ELEMENT a EMPTY>"),
+])
+def test_delta_dtd_prints_text_that_reads_back(tmp_path, fmt, text):
+    # each DTD is already normal, so delta's text must read back as the DTD
+    p = tmp_path / "in.dtd"
+    p.write_text(text)
+    code, out, err = run(["delta", "--dtd", str(p), "--format", fmt])
+    assert (code, err) == (0, "")
+    assert parse_dtd(out) == load_dtd(text, fmt)
+    code, out, _ = run(["delta", "--dtd", str(p), "--format", fmt, "--json"])
+    assert code == 0
+    d = load_dtd(text, fmt)
+    alphabet = frozenset(d.labels)
+    rules = json.loads(out)["rules"]
+    assert {lbl: parse_content_model(m, alphabet) for lbl, m in rules.items()} == d.rules
+
+
+def test_delta_model_prints_text_that_reads_back():
+    code, out, _ = run(["delta", "--model", "e,p,s"])
+    assert code == 0
+    assert parse_content_model(out.strip()) == parse_content_model("e,p,s")
 
 
 def test_delta_dtd_rejects_non_mrw(bad_file):

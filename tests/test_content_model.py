@@ -214,6 +214,22 @@ def test_parse_render_identity(e):
     assert parse_content_model(render(e)) == e
 
 
+@pytest.mark.parametrize("text, alphabet, rendered", [
+    ("e,p,s", None, "ep,s"),             # a run "eps" would read as the empty word
+    ("e,p,s,a", None, "ep,sa"),
+    ("a,b,ab", {"a", "b", "ab"}, "a,b,ab"),  # "ab" would read as the label ab
+    ("b,a,b", {"a", "b", "ab"}, "ba,b"),
+    ("a,b,c", {"a", "b", "c", "bc"}, "ab,c"),
+    ("c,a,b,c", {"a", "b", "c", "abc"}, "cab,c"),
+    ("a*,b,c,d,a*", {"a", "b", "c", "d", "title"}, "a*bcda*"),
+])
+def test_render_juxtaposes_only_runs_that_read_back(text, alphabet, rendered):
+    alphabet = alphabet and frozenset(alphabet)
+    e = parse_content_model(text, alphabet)
+    assert render(e, alphabet) == rendered
+    assert parse_content_model(rendered, alphabet) == e
+
+
 # --- membership ---------------------------------------------------------------
 
 @given(models)

@@ -15,6 +15,7 @@ from xpathsat import (
     parse_xpath, render, render_dtd, render_tree, satisfiable,
     validate_no_useless,
 )
+from xpathsat import build_schema_graph
 from xpathsat import dtd as dtd_module, oracle as oracle_module
 from xpathsat.content_model import concat_of, disj_of, symbols
 from xpathsat.dtd import min_heights
@@ -172,6 +173,14 @@ def test_delta_dtd_rejects_non_mrw():
     d = parse_dtd("root r\nr := a|aa\na := eps\n")
     with pytest.raises(NotMRW, match="'r'"):
         delta_dtd(d)
+
+
+def test_not_mrw_refusals_print_the_model_as_declared():
+    d = parse_dtd("r := a b ab a\na := eps\nb := eps\nab := eps\n")
+    for build in (delta_dtd, build_schema_graph):
+        with pytest.raises(NotMRW) as info:
+            build(d)
+        assert str(info.value) == "content model of 'r' is not MRW: a,b,ab,a"
 
 
 # --- sanity checks --------------------------------------------------------------
@@ -355,6 +364,55 @@ def test_render_dtd_round_trip():
     assert render_dtd(parse_dtd(WORKED)) == WORKED
     d = parse_dtd("x := y*\ny := eps\n")
     assert parse_dtd(render_dtd(d)).rules == d.rules
+
+
+@pytest.mark.parametrize("d", [
+    parse_dtd("r := e p s\ne := eps\np := eps\ns := eps\n"),
+    parse_dtd("r := a b ab\na := eps\nb := eps\nab := eps\n"),
+    parse_xml_dtd("<!ELEMENT root (a*)> <!ELEMENT a EMPTY>"),
+])
+def test_render_dtd_reads_back_as_the_same_dtd(d):
+    assert parse_dtd(render_dtd(d)) == d
+
+
+def test_native_reader_takes_an_element_named_root():
+    d = parse_dtd("root root\nroot := a*\na := eps\n")
+    assert (d.root, d.labels) == ("root", ("root", "a"))
+    assert parse_dtd("a := root?\nroot := eps\n").labels == ("a", "root")
+
+
+_POSTFIX = {Star: "*", Opt: "?", Plus: "+"}
+
+
+def _comma_text(e):
+    """e written fully parenthesized with commas, so no run is juxtaposed."""
+    match e:
+        case Epsilon():
+            return "eps"
+        case Symbol(name):
+            return name
+        case Concat(items):
+            return "(" + ",".join(map(_comma_text, items)) + ")"
+        case Disj(items):
+            return "(" + "|".join(map(_comma_text, items)) + ")"
+        case Star(item) | Opt(item) | Plus(item):
+            return f"({_comma_text(item)}){_POSTFIX[type(e)]}"
+        case Hash(left, right):
+            return f"({','.join(map(_comma_text, left))})#({','.join(map(_comma_text, right))})"
+
+
+def test_render_dtd_round_trips_parser_output():
+    # models as the parser builds them over labels that juxtapose into
+    # other labels: e,p,s into the empty word, a,b into ab
+    rng = random.Random(17)
+    labels = ("root", "e", "p", "s", "a", "b", "ab")
+    for _ in range(6000):
+        names = rng.sample(labels, rng.randint(1, len(labels)))
+        alphabet = frozenset(names)
+        rules = {lbl: parse_content_model(_comma_text(random_content_model(rng, names)), alphabet)
+                 for lbl in names}
+        d = Dtd(rng.choice(names), rules)
+        assert parse_dtd(render_dtd(d)) == d, render_dtd(d)
 
 
 def test_load_dtd_root_override():

@@ -86,6 +86,17 @@ def test_tree_term_lexer_errors_name_the_tree_term(bad, char):
         parse_tree(bad)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("r(" * 3000 + "a" + ")" * 3000, "tree term nested too deeply"),
+    ("", "empty tree term"),
+    ("r a", "trailing input from token 'a'"),
+], ids=["deep", "empty", "trailing"])
+def test_tree_term_whole_input_errors(text, message):
+    with pytest.raises(ParseError) as info:
+        parse_tree(text)
+    assert str(info.value) == message
+
+
 def test_node_at():
     t = parse_tree(WORKED_TREE)
     assert node_at(t, ()).label == "r"
