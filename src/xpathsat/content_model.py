@@ -371,8 +371,10 @@ def _render(e: Expr, prec: int, longer: dict[str, list[str]]) -> str:
                 last = part_last
             return f"({out})" if prec > _PREC_CONCAT else out
         case Hash(left, right):
-            # operands at postfix level so a concat operand keeps its parens
-            # and stays one operand on re-parse
+            # the reader lists a group's concatenation items as operands, so
+            # a tuple it would read otherwise prints as the expanded model
+            if any(_operands(concat_of(ops)) != ops for ops in (left, right)):
+                return _render(expand_hash(e), prec, longer)
             ls = ",".join(_render(it, _PREC_POSTFIX, longer) for it in left)
             rs = ",".join(_render(it, _PREC_POSTFIX, longer) for it in right)
             s = f"({ls})#({rs})"

@@ -13,10 +13,14 @@ it, so a later search replays the same stream.  Each node count's trees are
 built when a search first reaches that count; like `Dtd.covers`, the kept
 space assumes the instance's rules are not mutated.
 
-A search compiles its query once, into closures, and runs them on every
-tree.  They work on parent-linked nodes: a step reads the children of the
-node or of its parent, or follows the parent link, and never walks down
-from the root again.
+A search compiles its query once, into closures over parent-linked nodes:
+a step reads the children of the node or of its parent, or follows the
+parent link, and never walks down from the root again.  Without `↓*`, a
+query read from the root reads no node below a level its syntax names
+(`_deepest`), so two trees that agree down to that level give it the same
+answer.  Within a node count the search runs it on the first tree of each
+such class only.  The first matching tree of a count is the first of its
+class, so the witness is the one a scan of every tree would find.
 """
 
 from __future__ import annotations
@@ -208,6 +212,34 @@ def _compile_step(axis: Axis, label: str) -> Callable[[Nodes], Nodes]:
     return step
 
 
+def _deepest(p: Path | Qexpr, level: float = 0) -> tuple[float, float]:
+    # (the deepest level p reads from context nodes no deeper than `level`,
+    # the deepest level it can end on); the root is level 0 and any `↓*`
+    # reads every level
+    match p:
+        case Step(axis, _):
+            if axis is Axis.CHILD:
+                return level + 1, level + 1
+            if axis is Axis.DESC_OR_SELF:
+                return inf, inf
+            return level, level - 1 if axis is Axis.PARENT else level
+        case Seq(steps):
+            deepest = level
+            for x in steps:
+                seen, level = _deepest(x, level)
+                deepest = max(deepest, seen)
+            return deepest, level
+        case Union(items) | QAnd(items) | QOr(items):
+            reach = [_deepest(x, level) for x in items]
+            return max(r[0] for r in reach), max(r[1] for r in reach)
+        case Qual(base, quals):
+            deepest, level = _deepest(base, level)
+            return max(deepest, *(_deepest(q, level)[0] for q in quals)), level
+        case QPath(path):
+            return _deepest(path, level)
+    raise TypeError(f"not a query: {p!r}")
+
+
 def eval_xpath_full(t: DocTree, p: Path, start: NodePath = ()) -> set[NodePath]:
     """All nodes the query selects from `start`, by the standard semantics."""
     c: Ctx = ((), t, None)
@@ -269,6 +301,7 @@ class _Space:
         self.rules, self.rep, self.heights = d.rules, rep, min_heights(d)
         self.root, self.depth = d.root, depth
         self.built: dict[int, tuple[DocTree, ...]] = {}  # node count -> root trees
+        self.firsts: dict[tuple[int, int], tuple[DocTree, ...]] = {}  # (count, level) -> classes
         self.forget()
         count, lo, hi, _ = self.shape(d.root, depth)
         self.counts = range(lo, hi + 1) if count else range(0)
@@ -289,6 +322,20 @@ class _Space:
             got = self.built[size] = tuple(t for _, _, t in ranked)
             if len(self.built) == len(self.counts):
                 self.forget()
+        return got
+
+    def classes(self, size: int, level: float) -> tuple[DocTree, ...]:
+        # the first tree, in stream order, of each class of a count's trees
+        # that agree down to `level`; a count's classes depend on its trees
+        # alone, so a build racing another one keeps an equal tuple
+        if level >= self.depth - 1:
+            return self.trees(size)
+        got = self.firsts.get((size, level))
+        if got is None:
+            first: dict[tuple, DocTree] = {}
+            for t in self.trees(size):
+                first.setdefault(_cut(t, level), t)
+            got = self.firsts[size, level] = tuple(first.values())
         return got
 
     def shape(self, label: str, budget: int) -> tuple[int, float, int, list]:
@@ -336,6 +383,13 @@ class _Space:
                     yield sum(pres, (label,)), offset + rank, DocTree(label, trees)
 
 
+def _cut(t: DocTree, levels: int) -> tuple | str:
+    # t's labels down to `levels` below it, as nested tuples
+    if not levels:
+        return t.label
+    return t.label, *(_cut(c, levels - 1) for c in t.children)
+
+
 def _splits(kids: list, total: int) -> Iterator[tuple[int, ...]]:
     # node counts, one per child within its shape, adding up to total
     if not kids:
@@ -362,22 +416,32 @@ def iter_trees(d: Dtd, depth: int, rep: int) -> Iterator[DocTree]:
     are built when an iterator first reaches that count, so a caller that
     stops early leaves the larger trees unbuilt, and the next one resumes
     there.  Like `Dtd.covers`, the space assumes `d.rules` is not mutated."""
+    space = _space(d, depth, rep)
+    for size in space.counts:
+        yield from space.trees(size)
+
+
+def _space(d: Dtd, depth: int, rep: int) -> _Space:
     kept = d.tree_space
     space = kept.get((depth, rep))
     if space is None:
         kept.clear()
         space = kept[depth, rep] = _Space(d, depth, rep)
-    for size in space.counts:
-        yield from space.trees(size)
+    return space
 
 
 def oracle_satisfiable(d: Dtd, p: Path, depth: int, rep: int) -> DocTree | None:
     """First conforming tree (smallest first: node count, then preorder
     labels) matching p; the search stops there.  None when the bounded
     search is exhausted, which means unknown, not unsatisfiable.  The query
-    is compiled once and run on every tree."""
+    is compiled once.  Within a node count it runs on the first tree of each
+    class of trees that agree down to the deepest level it reads; the first
+    matching tree is the first of its class, so it is the one returned."""
     matches = _compile(p)
-    for t in iter_trees(d, depth, rep):
-        if matches({(): ((), t, None)}):
-            return t
+    level = _deepest(p)[0]
+    space = _space(d, depth, rep)
+    for size in space.counts:
+        for t in space.classes(size, level):
+            if matches({(): ((), t, None)}):
+                return t
     return None

@@ -19,6 +19,7 @@ from xpathsat.content_model import (
     _segment, concat_of, disj_of, symbol_counts, symbols, tokenize,
 )
 
+from gens import random_content_model
 from support import (
     enumerate_words, reference_content_lexer, reference_segment,
     subsequence_matches, subsequence_preserves,
@@ -212,6 +213,22 @@ def test_render_fixpoints():
 @given(models)
 def test_parse_render_identity(e):
     assert parse_content_model(render(e)) == e
+
+
+def test_random_models_read_back_equivalent():
+    # gens models may hold a # operand that is itself a concatenation, which
+    # the reader would split into several operands
+    rng = random.Random(5)
+    alphabet = ("a", "b", "c", "d", "e")
+    split = 0
+    for _ in range(2000):
+        e = random_content_model(rng, alphabet)
+        back = parse_content_model(render(e))
+        assert equivalent(back, e), (e, render(e))
+        split += back != e
+    assert split > 100
+    e = Hash((Concat((Symbol("c"), Symbol("c"))),), (Symbol("a"),))
+    assert equivalent(parse_content_model(render(e)), e)
 
 
 @pytest.mark.parametrize("text, alphabet, rendered", [

@@ -6,6 +6,7 @@ import random
 import re
 from functools import lru_cache
 from itertools import islice, product, zip_longest
+from math import inf
 
 import pytest
 
@@ -253,18 +254,23 @@ def test_compiled_queries_select_what_the_reference_selects():
 
 
 def test_oracle_search_answers_what_the_former_search_answered():
+    # at each DTD's own bound and at every smaller depth, with a stated
+    # share of the queries reading less than the whole depth, so that the
+    # search runs them on one tree per class
     rng = random.Random(2718)
-    answers = []
+    answers, cut = [], 0
     for d, depth, rep in _differential_dtds():
-        for _ in range(25):
-            q = random_full_query(rng, d.labels)
-            got = oracle_satisfiable(d, q, depth, rep)
-            want = reference_search(d, q, depth, rep)
-            assert got == want, render_xpath(q, arrows=True)
-            answers.append(None if got is None else render_tree(got))
+        for bound in range(depth, 0, -1):
+            for _ in range(25 if bound == depth else 12):
+                q = random_full_query(rng, d.labels)
+                got = oracle_satisfiable(d, q, bound, rep)
+                want = reference_search(d, q, bound, rep)
+                assert got == want, (bound, render_xpath(q, arrows=True))
+                answers.append(None if got is None else render_tree(got))
+                cut += oracle._deepest(q)[0] < bound - 1
     found = [a for a in answers if a is not None]
-    assert len(found) > 25 and len(answers) - len(found) > 25
-    assert len(set(found)) > 10
+    assert len(found) > 40 and len(answers) - len(found) > 300
+    assert len(set(found)) > 10 and cut > len(answers) // 3
 
 
 def test_reused_dtd_searches_like_a_fresh_one():
@@ -302,30 +308,76 @@ def test_two_live_iterators_each_yield_the_whole_space():
         assert [b for _, b in pairs] == want
 
 
-def test_oracle_search_compiles_once_and_has_no_node_at(monkeypatch):
-    # an UNSAT query runs on all 36 trees of the bounded space, and the
-    # search compiles it as often as one direct compilation does
-    q = parse_xpath("(↓::r/→⁺::b)/(↓::a/↑::b)/→⁺::c[↓::q or ↑*::r]")
-    compiled = []
+def _count_runs(monkeypatch, q):
+    """Records every path `oracle._compile` is given, and counts the trees
+    the query compiled for `q` itself runs on."""
+    compiled, runs = [], [0]
     real = oracle._compile
-    monkeypatch.setattr(oracle, "_compile", lambda p: compiled.append(p) or real(p))
+
+    def counted(p):
+        compiled.append(p)
+        f = real(p)
+        if p is not q:
+            return f
+
+        def run(nodes):
+            runs[0] += 1
+            return f(nodes)
+        return run
+
+    monkeypatch.setattr(oracle, "_compile", counted)
+    return compiled, runs
+
+
+def test_oracle_search_compiles_once_and_has_no_node_at(monkeypatch):
+    # an UNSAT query that reads every level runs on all 36 trees of the
+    # bounded space, and the search compiles it as often as one direct
+    # compilation does
+    q = parse_xpath("(↓::r/→⁺::b)/(↓::a/↑::b)/→⁺::c[↓::q or ↑*::r]")
+    compiled, runs = _count_runs(monkeypatch, q)
     oracle._compile(q)
     once = len(compiled)
     compiled.clear()
-    checked = 0
-    real_iter = oracle.iter_trees
-
-    def counted_trees(*args):
-        nonlocal checked
-        for t in real_iter(*args):
-            checked += 1
-            yield t
-
-    monkeypatch.setattr(oracle, "iter_trees", counted_trees)
+    runs[0] = 0
     assert oracle_satisfiable(worked(), q, depth=3, rep=2) is None
-    assert checked == 36
+    assert runs[0] == 36
     assert compiled[0] is q and len(compiled) == once
     assert not hasattr(oracle, "node_at")
+
+
+def test_a_shallow_search_runs_on_one_tree_per_class(monkeypatch):
+    # at depth 3 the worked DTD's 36 trees differ at level 1 already, so a
+    # query that reads level 1 runs on all of them; one that reads the root
+    # alone runs on the first tree of each node count
+    d = worked()
+    q = parse_xpath("→⁺::r ∪ ↑*::a")
+    _, runs = _count_runs(monkeypatch, q)
+    assert oracle_satisfiable(d, q, depth=3, rep=2) is None
+    counts = {node_count(t) for t in iter_trees(d, 3, 2)}
+    assert runs[0] == len(counts) < 36
+
+
+@pytest.mark.parametrize("query, level", [
+    ("↓::b", 1),
+    ("↑::r", 0),                         # above the root there is no node
+    ("↑::r/↓::a/↓::b", 1),
+    ("→⁺::r", 0),
+    ("↓::a/←⁺::b", 1),
+    ("↓::a/↓::b/↑*::a/↓::c", 3),         # ↑* may stay where it is
+    ("↓::b/↑::a/↑::c", 1),
+    ("↓::r[↓::c]/←⁺::r/↓::c", 2),
+    ("↓::a ∪ ↓::b/↓::c", 2),
+    ("(↓::a/↑::r ∪ ↓::b)/↓::c", 2),      # a union ends as deep as its deepest operand
+    ("↓::a[↓::b and ↓::c/↓::d]/↑::r", 3),
+    ("↓::a[↑::r or ↓::b]/→⁺::c", 2),
+    ("↓::a[↓::b[↓::c]]", 3),
+    ("↓*::a", inf),
+    ("↑::r/↓*::a", inf),
+    ("↓::a[↓::b or ↓*::c]", inf),
+    ("↓::a ∪ ↓*::b/↑::c", inf),
+])
+def test_deepest_level_a_query_reads(query, level):
+    assert oracle._deepest(parse_xpath(query))[0] == level
 
 
 # --------------------------------------------------------------- enumeration
