@@ -21,6 +21,17 @@ query read from the root reads no node below a level its syntax names
 answer.  Within a node count the search runs it on the first tree of each
 such class only.  The first matching tree of a count is the first of its
 class, so the witness is the one a scan of every tree would find.
+
+What a downward-only query (`↓` and `↓*` steps only, within qualifiers
+too) selects below a node depends on that node's subtree alone, and the
+trees of a space share their subtree objects.  When such a query is a
+sequence of steps, the search takes its first step's selection from each
+root and runs the steps after it once per subtree object selected, over
+sets of subtrees keyed by identity.  A downward-only union or qualified
+query runs whole on each tree; in any query, a downward-only qualifier is
+tested once per subtree object.  These memos live in one search's
+compiled query, and every tree gets the answer the full evaluator gives
+it, so the witness is unchanged.
 """
 
 from __future__ import annotations
@@ -102,9 +113,13 @@ def conforms(t: DocTree, d: Dtd) -> bool:
 # `(path, node, parent context)`: child and sibling steps read the parent's
 # children, parent and ancestor steps follow the parent link, so no step
 # walks down from the root.  A set of nodes is a dict keyed by NodePath.
+# A downward-only path needs no context: `_compile_down` maps sets of
+# subtree objects keyed by id, so a subtree shared by several positions or
+# trees is read once per set.
 
 Ctx = tuple  # (NodePath, DocTree, parent Ctx), with None above the root
 Nodes = dict[NodePath, Ctx]
+Subtrees = dict[int, DocTree]  # subtree objects keyed by id
 
 
 def _compile(p: Path) -> Callable[[Nodes], Nodes]:
@@ -112,46 +127,117 @@ def _compile(p: Path) -> Callable[[Nodes], Nodes]:
         case Step(axis, label):
             return _compile_step(axis, label)
         case Seq(steps):
-            parts = [_compile(x) for x in steps]
-
-            def seq(nodes: Nodes) -> Nodes:
-                for part in parts:
-                    if not nodes:
-                        break
-                    nodes = part(nodes)
-                return nodes
-            return seq
+            return _chain([_compile(x) for x in steps])
         case Union(items):
-            parts = [_compile(x) for x in items]
-
-            def union(nodes: Nodes) -> Nodes:
-                out: Nodes = {}
-                for part in parts:
-                    out.update(part(nodes))
-                return out
-            return union
+            return _merge([_compile(x) for x in items])
         case Qual(base, quals):
-            f = _compile(base)
-            tests = [_compile_qual(q) for q in quals]  # innermost first, as they apply
-
-            def qualified(nodes: Nodes) -> Nodes:
-                return {k: c for k, c in f(nodes).items() if all(q(c) for q in tests)}
-            return qualified
+            # innermost first, as they apply
+            return _filter(_compile(base), [_compile_qual(q) for q in quals])
     raise TypeError(f"not a path: {p!r}")
 
 
-def _compile_qual(q: Qexpr) -> Callable[[Ctx], bool]:
+def _compile_down(p: Path) -> Callable[[Subtrees], Subtrees]:
+    # a downward-only path over subtree objects keyed by identity: what it
+    # selects below a node depends on that node's subtree alone
+    match p:
+        case Step(Axis.CHILD, label):
+            def step(nodes: Subtrees) -> Subtrees:
+                return {id(w): w for v in nodes.values() for w in v.children if w.label == label}
+            return step
+        case Step(Axis.DESC_OR_SELF, label):
+            def step(nodes: Subtrees) -> Subtrees:
+                out, seen, stack = {}, set(), list(nodes.values())
+                while stack:
+                    v = stack.pop()
+                    if id(v) not in seen:
+                        seen.add(id(v))
+                        if v.label == label:
+                            out[id(v)] = v
+                        stack.extend(v.children)
+                return out
+            return step
+        case Seq(steps):
+            return _chain([_compile_down(x) for x in steps])
+        case Union(items):
+            return _merge([_compile_down(x) for x in items])
+        case Qual(base, quals):
+            return _filter(_compile_down(base), [_compile_qual(q, True) for q in quals])
+    raise TypeError(f"not a downward-only path: {p!r}")
+
+
+def _chain(parts: list[Callable]) -> Callable:
+    def seq(nodes: dict) -> dict:
+        for part in parts:
+            if not nodes:
+                break
+            nodes = part(nodes)
+        return nodes
+    return seq
+
+
+def _merge(parts: list[Callable]) -> Callable:
+    def union(nodes: dict) -> dict:
+        out = {}
+        for part in parts:
+            out.update(part(nodes))
+        return out
+    return union
+
+
+def _filter(f: Callable, tests: list[Callable]) -> Callable:
+    def qualified(nodes: dict) -> dict:
+        return {k: c for k, c in f(nodes).items() if all(q(c) for q in tests)}
+    return qualified
+
+
+def _compile_qual(q: Qexpr, on_subtree: bool = False) -> Callable:
+    # a test of a context node, or with `on_subtree` of a subtree object; a
+    # downward-only path is tested once per subtree object
     match q:
+        case QPath(path) if on_subtree or _downward(path):
+            test = _subtree_test(_compile_down(path))
+            return test if on_subtree else lambda c: test(c[1])
         case QPath(path):
             f = _compile(path)
             return lambda c: bool(f({c[0]: c}))
         case QAnd(items):
-            tests = [_compile_qual(x) for x in items]
+            tests = [_compile_qual(x, on_subtree) for x in items]
             return lambda c: all(q(c) for q in tests)
         case QOr(items):
-            tests = [_compile_qual(x) for x in items]
+            tests = [_compile_qual(x, on_subtree) for x in items]
             return lambda c: any(q(c) for q in tests)
     raise TypeError(f"not a qualifier: {q!r}")
+
+
+def _subtree_test(f: Callable[[Subtrees], Subtrees]) -> Callable[[DocTree], bool]:
+    # whether the compiled downward-only f selects a node from v, kept per
+    # subtree object; an entry holds its subtree, so no other takes its id
+    seen: dict[int, tuple[DocTree, bool]] = {}
+
+    def test(v: DocTree) -> bool:
+        got = seen.get(id(v))
+        if got is None:
+            got = seen[id(v)] = v, bool(f({id(v): v}))
+        return got[1]
+    return test
+
+
+def _downward(p: Path | Qexpr) -> bool:
+    # every step of p, within qualifiers, unions and connectives too, is ↓ or ↓*
+    stack = [p]
+    while stack:
+        match stack.pop():
+            case Step(axis, _):
+                if axis is not Axis.CHILD and axis is not Axis.DESC_OR_SELF:
+                    return False
+            case Seq(items) | Union(items) | QAnd(items) | QOr(items):
+                stack.extend(items)
+            case Qual(base, quals):
+                stack.append(base)
+                stack.extend(quals)
+            case QPath(path):
+                stack.append(path)
+    return True
 
 
 def _compile_step(axis: Axis, label: str) -> Callable[[Nodes], Nodes]:
@@ -250,7 +336,7 @@ def eval_xpath_full(t: DocTree, p: Path, start: NodePath = ()) -> set[NodePath]:
 
 def satisfies(t: DocTree, p: Path) -> bool:
     """Match from the document root (the root is the initial context node)."""
-    return bool(_compile(p)({(): ((), t, None)}))
+    return _decider(p)(t)
 
 
 # --- bounded enumeration ---------------------------------------------------------
@@ -332,7 +418,7 @@ class _Space:
             return self.trees(size)
         got = self.firsts.get((size, level))
         if got is None:
-            first: dict[tuple, DocTree] = {}
+            first: dict[tuple | str, DocTree] = {}
             for t in self.trees(size):
                 first.setdefault(_cut(t, level), t)
             got = self.firsts[size, level] = tuple(first.values())
@@ -436,12 +522,38 @@ def oracle_satisfiable(d: Dtd, p: Path, depth: int, rep: int) -> DocTree | None:
     search is exhausted, which means unknown, not unsatisfiable.  The query
     is compiled once.  Within a node count it runs on the first tree of each
     class of trees that agree down to the deepest level it reads; the first
-    matching tree is the first of its class, so it is the one returned."""
-    matches = _compile(p)
+    matching tree is the first of its class, so it is the one returned.  A
+    downward-only sequence of steps runs the steps after its first one
+    once per subtree object that first step selects."""
+    matches = _decider(p)
     level = _deepest(p)[0]
     space = _space(d, depth, rep)
     for size in space.counts:
         for t in space.classes(size, level):
-            if matches({(): ((), t, None)}):
+            if matches(t):
                 return t
     return None
+
+
+def _decider(p: Path) -> Callable[[DocTree], bool]:
+    # whether p selects a node from a tree's root.  A downward-only sequence
+    # takes its first step's selection from the root and runs the rest once
+    # per subtree object selected, over all the trees the search reaches
+    if not _downward(p):
+        f = _compile(p)
+        return lambda t: bool(f({(): ((), t, None)}))
+    first, *rest = p.steps if isinstance(p, Seq) else (p,)
+    test = _subtree_test(_chain([_compile_down(x) for x in rest]))
+    match first:
+        case Step(Axis.CHILD, label):
+            # the root's children read in place, as this runs for every
+            # tree: three times faster on chain searches than building the
+            # first step's selection
+            def matches(t: DocTree) -> bool:
+                for v in t.children:
+                    if v.label == label and test(v):
+                        return True
+                return False
+            return matches
+    pick = _compile_down(first)
+    return lambda t: any(test(v) for v in pick({id(t): t}).values())

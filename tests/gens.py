@@ -282,15 +282,15 @@ def random_eval2_query(rng, d: Dtd, budget=4) -> Path:
     return _seq(steps)  # type: ignore[arg-type]
 
 
-def random_full_query(rng, labels, depth=2) -> Path:
-    """A query of the whole language: steps on all six axes, sequences,
-    union, and qualifiers (stacked ones too) joined by `and` and `or`,
-    nested at most `depth` deep."""
+def random_full_query(rng, labels, depth=2, axes=tuple(Axis)) -> Path:
+    """A query of the whole language: steps on the given axes (all six by
+    default), sequences, union, and qualifiers (stacked ones too) joined by
+    `and` and `or`, nested at most `depth` deep."""
 
     def path(depth: int) -> Path:
         kind = rng.choice(["step", "seq", "seq", "union", "qual"]) if depth else "step"
         if kind == "step":
-            return Step(rng.choice(list(Axis)), _pick_label(rng, labels))
+            return Step(rng.choice(axes), _pick_label(rng, labels))
         if kind == "seq":
             parts: list[Path] = []
             for _ in range(rng.randint(2, 3)):

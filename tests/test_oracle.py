@@ -27,7 +27,7 @@ from xpathsat.oracle import (
     satisfies,
     words_capped,
 )
-from xpathsat.xpath import Axis, Step, render_xpath
+from xpathsat.xpath import Axis, Seq, Step, render_xpath
 
 from gens import random_full_query, random_mdf_dc_dtd, tree_count
 from support import (
@@ -378,6 +378,132 @@ def test_a_shallow_search_runs_on_one_tree_per_class(monkeypatch):
 ])
 def test_deepest_level_a_query_reads(query, level):
     assert oracle._deepest(parse_xpath(query))[0] == level
+
+
+# ------------------------------------------------- downward-only memoization
+
+DOWN = (Axis.CHILD, Axis.DESC_OR_SELF)
+A, AB = DocTree("a"), DocTree("a", (DocTree("b"),))
+SHARED = [  # one subtree object at two positions, and at several trees
+    (DocTree("r", (AB, AB)), "↓::a[↓::b]", {(0,), (1,)}),
+    # a qualifier that is not downward-only is never kept per subtree
+    (DocTree("r", (A, A)), "↓::a[←⁺::a]", {(1,)}),
+    (DocTree("r", (A, AB, A)), "↓::a[↓::b or →⁺::a]", {(0,), (1,)}),
+    (DocTree("r", (AB, DocTree("a", (AB,)), AB)), "↓*::a[↓::b]", {(0,), (1, 0), (2,)}),
+]
+
+
+@pytest.mark.parametrize("tree, query, want", SHARED, ids=[q for _, q, _ in SHARED])
+def test_shared_subtrees_select_what_the_reference_selects(tree, query, want):
+    q = parse_xpath(query)
+    assert eval_xpath_full(tree, q) == reference_eval(tree, q) == want
+    assert satisfies(tree, q)
+    for start in _node_paths(tree):
+        assert eval_xpath_full(tree, q, start) == reference_eval(tree, q, start)
+
+
+def test_one_search_decides_trees_that_share_subtrees():
+    # one decider, as a search holds it, over trees that reuse A and AB
+    # at several positions and across trees, in turn
+    trees = [t for t, _, _ in SHARED] + [DocTree("r", (A,)), DocTree("r", (A, DocTree("r", (AB,))))]
+    queries = [q for _, q, _ in SHARED] + [
+        "↓::a/↓::b", "↓::a[↓::b]/↓::b", "↓*::a/↓::b", "↓::r/↓*::b", "↓::a ∪ ↓::r/↓::a[↓::b]",
+        "↓::a[↓::b and ↓::b/↓::a]", "↓::a[↓::q or ↓*::b]",
+    ]
+    for query in queries:
+        q = parse_xpath(query)
+        matches = oracle._decider(q)
+        for t in trees * 2:
+            assert matches(t) == bool(reference_eval(t, q)), (query, render_tree(t))
+
+
+def test_downward_searches_answer_what_the_former_search_answered():
+    # downward-only queries, which the search runs once per subtree object
+    # below the root, at every depth bound of each DTD, with a stated share
+    # reading the whole depth, so that no class cut spares a tree
+    rng = random.Random(1923)
+    answers, whole = [], 0
+    for d, depth, rep in _differential_dtds():
+        for bound in range(depth, 0, -1):
+            for _ in range(25 if bound == depth else 12):
+                q = random_full_query(rng, d.labels, axes=DOWN)
+                assert oracle._downward(q)
+                got = oracle_satisfiable(d, q, bound, rep)
+                want = reference_search(d, q, bound, rep)
+                assert got is want, (bound, render_xpath(q, arrows=True))
+                answers.append(None if got is None else render_tree(got))
+                whole += oracle._deepest(q)[0] >= bound - 1
+    found = [a for a in answers if a is not None]
+    assert len(found) > 150 and len(answers) - len(found) > 350
+    assert len(set(found)) > 15 and whole > 450
+
+
+def test_a_downward_search_runs_the_rest_once_per_subtree(monkeypatch):
+    # a whole-depth UNSAT chain runs its remainder once per subtree object
+    # the first step selects from the root, not once per tree
+    d = parse_dtd("root r\nr := s*a?\ns := s?a?\na := eps\n")
+    q = parse_xpath("↓::s/↓::s/↓::s/↓::a")
+    assert oracle._deepest(q)[0] == 4
+    runs, real = [0], oracle._chain
+
+    def counted(parts):
+        f = real(parts)
+
+        def run(nodes):
+            runs[0] += 1
+            return f(nodes)
+        return run
+
+    monkeypatch.setattr(oracle, "_chain", counted)
+    assert oracle_satisfiable(d, q, depth=4, rep=2) is None
+    trees = list(iter_trees(d, 4, 2))
+    selected = {id(c) for t in trees for c in t.children if c.label == "s"}
+    assert runs[0] == len(selected) and runs[0] * 20 < len(trees)
+
+
+def test_long_downward_queries_still_answer():
+    # a 1,500-step chain and a 1,500-qualifier stack take the memoized
+    # route without one call per step or per qualifier
+    d = worked()
+    assert oracle._downward(parse_xpath("↓::r" + "[↓::c]" * 1500))
+    assert oracle_satisfiable(d, parse_xpath("/".join(["↓::r"] * 1500)), depth=3, rep=2) is None
+    w = oracle_satisfiable(d, parse_xpath("/".join(["↓*::r"] * 1500)), depth=3, rep=2)
+    assert render_tree(w) == "r(c)"
+    w = oracle_satisfiable(d, parse_xpath("↓::r" + "[↓::c]" * 1500), depth=3, rep=2)
+    assert render_tree(w) == "r(c,r(c))"
+
+
+@pytest.mark.parametrize("query, down", [
+    ("↓::a/↓*::b", True),
+    ("↓::a[↓::b or ↓*::c] ∪ ↓::d", True),
+    ("↓::a[↓::b[↓::c and ↓::d]]", True),
+    ("↓::a[↓::b or →⁺::c]", False),
+    ("↓::a[↓::b[↑::a]]", False),
+    ("↓::a ∪ ↑*::b", False),
+    ("↓::a/←⁺::b", False),
+    ("↑::a", False),
+])
+def test_downward_only_queries(query, down):
+    assert oracle._downward(parse_xpath(query)) is down
+
+
+def test_top_level_unions_and_qualified_sequences_answer_as_before():
+    # a downward-only union or qualified sequence runs whole on each tree,
+    # its downward-only qualifiers kept per subtree object
+    d = parse_dtd("root r\nr := b*a?\nb := d?a?\nd := a?\na := x?\nx := eps\n")
+    found = []
+    for query in [
+        "↓::b/↓::d/↓::c ∪ ↓::a/↓::x", "↓::b/↓::d/↓::c ∪ ↓::a/↓::c",
+        "(↓::b/↓::d/↓::a)[↓::x]", "(↓::b/↓::d/↓::a)[↓::c]",
+        "(↓::b/↓::d ∪ ↓::b/↓::a)[↓::a or ↓*::x]",
+    ]:
+        q = parse_xpath(query)
+        assert oracle._downward(q) and not isinstance(q, Seq)
+        for depth in (3, 4, 5):
+            got = oracle_satisfiable(d, q, depth, 2)
+            assert got is reference_search(d, q, depth, 2), (query, depth)
+            found.append(got is not None)
+    assert found.count(True) == 6 and found.count(False) == 9
 
 
 # --------------------------------------------------------------- enumeration
