@@ -221,7 +221,7 @@ def main(argv=None) -> int:
     except (ParseError, DtdError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except Exception as exc:  # e.g. RecursionError on deeply stacked qualifiers
+    except Exception as exc:
         detail = " ".join(f"{type(exc).__name__}: {exc}".split())
         print(f"error: internal error: {detail}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -24,14 +24,15 @@ class, so the witness is the one a scan of every tree would find.
 
 What a downward-only query (`↓` and `↓*` steps only, within qualifiers
 too) selects below a node depends on that node's subtree alone, and the
-trees of a space share their subtree objects.  When such a query is a
-sequence of steps, the search takes its first step's selection from each
-root and runs the steps after it once per subtree object selected, over
-sets of subtrees keyed by identity.  A downward-only union or qualified
-query runs whole on each tree; in any query, a downward-only qualifier is
-tested once per subtree object.  These memos live in one search's
-compiled query, and every tree gets the answer the full evaluator gives
-it, so the witness is unchanged.
+trees of a space share their subtree objects.  So the one compiler, run
+with a subtree as the root, gives the answer for every position of that
+subtree object, and the search keeps it per object.  When a downward-only
+query is a sequence of steps, the search takes its first step's selection
+from each root and runs the steps after it once per subtree object
+selected.  A downward-only union or qualified query runs whole on each
+tree; in any query, a downward-only qualifier is tested once per subtree
+object.  These memos live in one search's compiled query, and every tree
+gets the answer the full evaluator gives it, so the witness is unchanged.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from .content_model import (
 )
 from .dtd import Dtd, min_heights
 from .errors import ParseError
-from .xpath import Axis, Path, QAnd, QOr, QPath, Qexpr, Qual, Seq, Step, Union
+from .xpath import Axis, Path, QAnd, QOr, QPath, Qexpr, Qual, Seq, Step, Union, features
 
 Word = tuple[str, ...]
 NodePath = tuple[int, ...]  # child indices from the root; () is the root
@@ -113,13 +114,13 @@ def conforms(t: DocTree, d: Dtd) -> bool:
 # `(path, node, parent context)`: child and sibling steps read the parent's
 # children, parent and ancestor steps follow the parent link, so no step
 # walks down from the root.  A set of nodes is a dict keyed by NodePath.
-# A downward-only path needs no context: `_compile_down` maps sets of
-# subtree objects keyed by id, so a subtree shared by several positions or
-# trees is read once per set.
+# A downward-only path never reads above its context node, so it runs with
+# that node's subtree as the root, and `_subtree_test` keeps its answer per
+# subtree object: a subtree shared by several positions or trees is read
+# once.
 
 Ctx = tuple  # (NodePath, DocTree, parent Ctx), with None above the root
 Nodes = dict[NodePath, Ctx]
-Subtrees = dict[int, DocTree]  # subtree objects keyed by id
 
 
 def _compile(p: Path) -> Callable[[Nodes], Nodes]:
@@ -134,35 +135,6 @@ def _compile(p: Path) -> Callable[[Nodes], Nodes]:
             # innermost first, as they apply
             return _filter(_compile(base), [_compile_qual(q) for q in quals])
     raise TypeError(f"not a path: {p!r}")
-
-
-def _compile_down(p: Path) -> Callable[[Subtrees], Subtrees]:
-    # a downward-only path over subtree objects keyed by identity: what it
-    # selects below a node depends on that node's subtree alone
-    match p:
-        case Step(Axis.CHILD, label):
-            def step(nodes: Subtrees) -> Subtrees:
-                return {id(w): w for v in nodes.values() for w in v.children if w.label == label}
-            return step
-        case Step(Axis.DESC_OR_SELF, label):
-            def step(nodes: Subtrees) -> Subtrees:
-                out, seen, stack = {}, set(), list(nodes.values())
-                while stack:
-                    v = stack.pop()
-                    if id(v) not in seen:
-                        seen.add(id(v))
-                        if v.label == label:
-                            out[id(v)] = v
-                        stack.extend(v.children)
-                return out
-            return step
-        case Seq(steps):
-            return _chain([_compile_down(x) for x in steps])
-        case Union(items):
-            return _merge([_compile_down(x) for x in items])
-        case Qual(base, quals):
-            return _filter(_compile_down(base), [_compile_qual(q, True) for q in quals])
-    raise TypeError(f"not a downward-only path: {p!r}")
 
 
 def _chain(parts: list[Callable]) -> Callable:
@@ -190,54 +162,42 @@ def _filter(f: Callable, tests: list[Callable]) -> Callable:
     return qualified
 
 
-def _compile_qual(q: Qexpr, on_subtree: bool = False) -> Callable:
-    # a test of a context node, or with `on_subtree` of a subtree object; a
-    # downward-only path is tested once per subtree object
+def _compile_qual(q: Qexpr) -> Callable[[Ctx], bool]:
+    # a test of a context node; a downward-only path is tested once per
+    # subtree object
     match q:
-        case QPath(path) if on_subtree or _downward(path):
-            test = _subtree_test(_compile_down(path))
-            return test if on_subtree else lambda c: test(c[1])
+        case QPath(path) if _downward(path):
+            test = _subtree_test(_compile(path))
+            return lambda c: test(c[1])
         case QPath(path):
             f = _compile(path)
             return lambda c: bool(f({c[0]: c}))
         case QAnd(items):
-            tests = [_compile_qual(x, on_subtree) for x in items]
+            tests = [_compile_qual(x) for x in items]
             return lambda c: all(q(c) for q in tests)
         case QOr(items):
-            tests = [_compile_qual(x, on_subtree) for x in items]
+            tests = [_compile_qual(x) for x in items]
             return lambda c: any(q(c) for q in tests)
     raise TypeError(f"not a qualifier: {q!r}")
 
 
-def _subtree_test(f: Callable[[Subtrees], Subtrees]) -> Callable[[DocTree], bool]:
-    # whether the compiled downward-only f selects a node from v, kept per
-    # subtree object; an entry holds its subtree, so no other takes its id
+def _subtree_test(f: Callable[[Nodes], Nodes]) -> Callable[[DocTree], bool]:
+    # whether f, a compiled downward-only path, selects a node from v when
+    # run with v as the root, kept per subtree object; an entry holds its
+    # subtree, so no other takes its id
     seen: dict[int, tuple[DocTree, bool]] = {}
 
     def test(v: DocTree) -> bool:
         got = seen.get(id(v))
         if got is None:
-            got = seen[id(v)] = v, bool(f({id(v): v}))
+            got = seen[id(v)] = v, bool(f({(): ((), v, None)}))
         return got[1]
     return test
 
 
 def _downward(p: Path | Qexpr) -> bool:
     # every step of p, within qualifiers, unions and connectives too, is ↓ or ↓*
-    stack = [p]
-    while stack:
-        match stack.pop():
-            case Step(axis, _):
-                if axis is not Axis.CHILD and axis is not Axis.DESC_OR_SELF:
-                    return False
-            case Seq(items) | Union(items) | QAnd(items) | QOr(items):
-                stack.extend(items)
-            case Qual(base, quals):
-                stack.append(base)
-                stack.extend(quals)
-            case QPath(path):
-                stack.append(path)
-    return True
+    return features(p)[0] <= {Axis.CHILD, Axis.DESC_OR_SELF}
 
 
 def _compile_step(axis: Axis, label: str) -> Callable[[Nodes], Nodes]:
@@ -543,7 +503,7 @@ def _decider(p: Path) -> Callable[[DocTree], bool]:
         f = _compile(p)
         return lambda t: bool(f({(): ((), t, None)}))
     first, *rest = p.steps if isinstance(p, Seq) else (p,)
-    test = _subtree_test(_chain([_compile_down(x) for x in rest]))
+    test = _subtree_test(_chain([_compile(x) for x in rest]))
     match first:
         case Step(Axis.CHILD, label):
             # the root's children read in place, as this runs for every
@@ -555,5 +515,5 @@ def _decider(p: Path) -> Callable[[DocTree], bool]:
                         return True
                 return False
             return matches
-    pick = _compile_down(first)
-    return lambda t: any(test(v) for v in pick({id(t): t}).values())
+    pick = _compile(first)
+    return lambda t: any(test(c[1]) for c in pick({(): ((), t, None)}).values())

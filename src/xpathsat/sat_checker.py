@@ -43,8 +43,8 @@ from .dtd import Dtd, delta_dtd, validate_no_useless
 from .errors import UnsupportedFragment
 from .schema_graph import SchemaGraph, SgNode, build_schema_graph
 from .xpath import (
-    ARROW, Axis, Path, QAnd, QOr, QPath, Qexpr, Qual, Seq, Step, Union,
-    normalize, parse_xpath, render_xpath,
+    ARROW, Axis, Path, QOr, QPath, Qual, Seq, Step, Union,
+    features, normalize, parse_xpath, render_xpath,
 )
 
 
@@ -452,33 +452,13 @@ def _accepting(t: Eval2Tuple, graph: SchemaGraph) -> bool:
 
 # --- routing -----------------------------------------------------------------
 
-def _collect(p: Path | Qexpr, axes: set[Axis], kinds: set[type]) -> None:
-    kinds.add(type(p))
-    match p:
-        case Step(axis, _):
-            axes.add(axis)
-        case Seq(parts) | Union(parts) | QAnd(parts) | QOr(parts):
-            for x in parts:
-                if type(x) is Step:
-                    axes.add(x.axis)
-                else:
-                    _collect(x, axes, kinds)
-        case Qual(base, quals):
-            for x in (base, *quals):
-                _collect(x, axes, kinds)
-        case QPath(path):
-            _collect(path, axes, kinds)
-
-
 _EVAL1_AXES = {Axis.CHILD, Axis.PARENT, Axis.FSIB, Axis.PSIB}
 _EVAL2_AXES = {Axis.CHILD, Axis.FSIB, Axis.PSIB}
 
 
 def fragment_of(p: Path) -> str:
     """Which decision procedure fits: 'eval1', 'eval2', or 'full' (neither)."""
-    axes: set[Axis] = set()
-    kinds: set[type] = set()
-    _collect(p, axes, kinds)
+    axes, kinds = features(p)
     if not kinds & {Union, Qual} and axes <= _EVAL1_AXES:
         return "eval1"
     if not kinds & {Union, QOr} and axes <= _EVAL2_AXES:
@@ -517,10 +497,14 @@ def _routed(d: Dtd, query: Path | str) -> tuple[SchemaGraph, Path, str]:
     graph, p = compile_dtd(d), normalize(p)
     frag = fragment_of(p)
     if frag == "full":
-        raise UnsupportedFragment(
-            "query needs recursive axes, union, or qualifier disjunction; "
-            "only the bounded oracle covers those"
-        )
+        # otherwise ↑ meets a qualifier: eval1 takes ↑ and eval2 qualifiers,
+        # and the paper shows each tractable apart, not the two together
+        axes, kinds = features(p)
+        if axes & {Axis.DESC_OR_SELF, Axis.ANC_OR_SELF} or kinds & {Union, QOr}:
+            need = "query needs recursive axes, union, or qualifier disjunction"
+        else:
+            need = "query combines qualifiers with the parent axis"
+        raise UnsupportedFragment(f"{need}; only the bounded oracle covers those")
     return graph, p, frag
 
 

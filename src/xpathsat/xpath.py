@@ -24,7 +24,8 @@ The lexer reads each well-formed step (axis, `::`, label) whole, in one
 match, so a run of unqualified steps parses without a token-by-token walk.
 A parsed query holds one `Step` object per distinct step: equal steps share
 it.  `normalize` returns its input, not a copy, when nothing in it splits.
-Syntax only: which decider fits a query is `sat_checker.fragment_of`.
+Syntax only: `features` names the axes and node types a query uses, and
+`sat_checker.fragment_of` reads it to say which decider fits.
 """
 
 from __future__ import annotations
@@ -295,6 +296,32 @@ def size(p: Path | Qexpr) -> int:
         case QPath(path):
             return size(path)
     raise TypeError(f"not a path: {p!r}")
+
+
+def features(p: Path | Qexpr) -> tuple[set[Axis], set[type]]:
+    """The axes of p's steps and the node types in p, qualifiers included."""
+    axes: set[Axis] = set()
+    kinds: set[type] = set()
+    _collect(p, axes, kinds)
+    return axes, kinds
+
+
+def _collect(p: Path | Qexpr, axes: set[Axis], kinds: set[type]) -> None:
+    kinds.add(type(p))
+    match p:
+        case Step(axis, _):
+            axes.add(axis)
+        case Seq(parts) | Union(parts) | QAnd(parts) | QOr(parts):
+            for x in parts:
+                if type(x) is Step:
+                    axes.add(x.axis)
+                else:
+                    _collect(x, axes, kinds)
+        case Qual(base, quals):
+            for x in (base, *quals):
+                _collect(x, axes, kinds)
+        case QPath(path):
+            _collect(path, axes, kinds)
 
 
 # --- qualifier normalization ---------------------------------------------------

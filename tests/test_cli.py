@@ -199,6 +199,17 @@ def test_sat_rejects_full_fragment(worked_file):
     )
 
 
+def test_sat_rejects_qualifiers_with_parent_axis(worked_file):
+    # no recursive axis, union or `or`: eval1 takes ↑ without qualifiers and
+    # eval2 qualifiers without ↑, and neither takes both
+    code, out, err = run(["sat", "--dtd", worked_file, "--xpath", "↓::r[↓::b]/↑::r"])
+    assert (code, out) == (4, "")
+    assert err == (
+        "error: query combines qualifiers with the parent axis; "
+        "only the bounded oracle covers those\n"
+    )
+
+
 def test_sat_query_parse_error(worked_file):
     code, out, err = run(["sat", "--dtd", worked_file, "--xpath", "↓::a["])
     assert (code, out) == (2, "")

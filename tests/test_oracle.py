@@ -461,6 +461,27 @@ def test_a_downward_search_runs_the_rest_once_per_subtree(monkeypatch):
     assert runs[0] == len(selected) and runs[0] * 20 < len(trees)
 
 
+def test_a_downward_qualifier_runs_once_per_subtree(monkeypatch):
+    # in a query that is not downward-only, a downward-only qualifier runs
+    # once per subtree object it is asked about over the whole search, not
+    # once per (tree, node) pair
+    d = parse_dtd("root r\nr := b*a?\nb := d?a?\nd := a?\na := x?\nx := eps\n")
+    q = parse_xpath("↓::b[↓::d/↓::a]/→⁺::b/↓::a")
+    qual = q.steps[0].quals[0].path
+    assert not oracle._downward(q) and oracle._downward(qual)
+    assert oracle._deepest(q)[0] == 3  # reads the whole depth: every tree runs
+    _, runs = _count_runs(monkeypatch, qual)
+    got = oracle_satisfiable(d, q, depth=4, rep=2)
+    assert got is reference_search(d, q, 4, 2)
+    assert render_tree(got) == "r(b(d(a)),b(a))"
+    asked = []
+    for t in iter_trees(d, 4, 2):
+        asked += [c for c in t.children if c.label == "b"]
+        if t is got:
+            break
+    assert runs[0] == len({id(c) for c in asked}) and runs[0] * 10 < len(asked)
+
+
 def test_long_downward_queries_still_answer():
     # a 1,500-step chain and a 1,500-qualifier stack take the memoized
     # route without one call per step or per qualifier

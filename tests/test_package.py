@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import ast
+import pathlib
 import types
 
 import xpathsat
@@ -16,3 +18,24 @@ def test_star_import_exports_no_submodules():
     assert len(set(xpathsat.__all__)) == len(xpathsat.__all__)
     for name in ("satisfiable", "eval2", "SibMap", "Dtd", "parse_xpath", "oracle_satisfiable"):
         assert name in ns
+
+
+def test_modules_use_every_name_they_import():
+    # no linter runs offline, so the package's own import lines are read
+    # here; `__init__` imports to re-export
+    src = pathlib.Path(xpathsat.__file__).parent
+    unused = {}
+    for path in sorted(src.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {
+            (a.asname or a.name).split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+            for a in node.names
+        }
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        if imported - used:
+            unused[path.name] = sorted(imported - used)
+    assert not unused
