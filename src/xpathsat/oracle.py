@@ -13,31 +13,29 @@ it, so a later search replays the same stream.  Each node count's trees are
 built when a search first reaches that count; like `Dtd.covers`, the kept
 space assumes the instance's rules are not mutated.
 
-A search compiles its query once, into closures over parent-linked nodes:
-a step reads the children of the node or of its parent, or follows the
-parent link, and never walks down from the root again.  Without `↓*`, a
-query read from the root reads no node below a level its syntax names
-(`_deepest`), so two trees that agree down to that level give it the same
-answer.  Within a node count the search runs it on the first tree of each
-such class only.  The first matching tree of a count is the first of its
-class, so the witness is the one a scan of every tree would find.
+A search compiles its query once, into closures over parent-linked nodes
+that never walk down from the root again.  Without `↓*`, a query read
+from the root reads no node below a level its syntax names (`_deepest`),
+so within a node count the search runs it on the first tree of each class
+of trees that agree down to that level.
 
 What a downward-only query (`↓` and `↓*` steps only, within qualifiers
 too) selects below a node depends on that node's subtree alone, and the
-trees of a space share their subtree objects.  So the one compiler, run
-with a subtree as the root, gives the answer for every position of that
-subtree object, and the search keeps it per object.  When a downward-only
-query is a sequence of steps, the search takes its first step's selection
-from each root and runs the steps after it once per subtree object
-selected.  A downward-only union or qualified query runs whole on each
-tree; in any query, a downward-only qualifier is tested once per subtree
-object.  These memos live in one search's compiled query, and every tree
-gets the answer the full evaluator gives it, so the witness is unchanged.
+trees of a space share their subtree objects, so the one compiler, run
+with a subtree as the root, answers for every position of that object,
+and a search keeps the answer per object.  When the first step is `↓::l`
+or `↓*::l`, the search tests each node count's distinct root-child
+objects (`_Space.kids`) in the order of the first tree holding each, so
+the first passing one names the first matching tree.  Other downward-only
+sequences run the steps after the first once per object that step
+selects, and in any query a downward-only qualifier is tested once per
+subtree object.  Either way the witness is the tree a scan of every tree
+with the full evaluator finds.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from itertools import product
 from math import inf, prod
@@ -348,6 +346,7 @@ class _Space:
         self.root, self.depth = d.root, depth
         self.built: dict[int, tuple[DocTree, ...]] = {}  # node count -> root trees
         self.firsts: dict[tuple[int, int], tuple[DocTree, ...]] = {}  # (count, level) -> classes
+        self.roots: dict[int, dict] = {}  # count -> label or None -> id -> (position, child)
         self.forget()
         count, lo, hi, _ = self.shape(d.root, depth)
         self.counts = range(lo, hi + 1) if count else range(0)
@@ -383,6 +382,21 @@ class _Space:
                 first.setdefault(_cut(t, level), t)
             got = self.firsts[size, level] = tuple(first.values())
         return got
+
+    def kids(self, size: int, label: str | None) -> Iterable[tuple[int, DocTree]]:
+        # (the stream position of the first tree that holds it, v) for each
+        # distinct child object v labeled `label` (any label for None) of a
+        # count's root trees, in that order; one pass indexes every label,
+        # and, as with `classes`, a racing build keeps an equal index
+        got = self.roots.get(size)
+        if got is None:
+            got = {None: {}}
+            for i, t in enumerate(self.trees(size)):
+                for v in t.children:
+                    if id(v) not in got[None]:
+                        got[None][id(v)] = got.setdefault(v.label, {})[id(v)] = i, v
+            self.roots[size] = got
+        return got.get(label, {}).values()
 
     def shape(self, label: str, budget: int) -> tuple[int, float, int, list]:
         # tree count, least and greatest node count, and the words that root
@@ -480,40 +494,56 @@ def oracle_satisfiable(d: Dtd, p: Path, depth: int, rep: int) -> DocTree | None:
     """First conforming tree (smallest first: node count, then preorder
     labels) matching p; the search stops there.  None when the bounded
     search is exhausted, which means unknown, not unsatisfiable.  The query
-    is compiled once.  Within a node count it runs on the first tree of each
-    class of trees that agree down to the deepest level it reads; the first
-    matching tree is the first of its class, so it is the one returned.  A
-    downward-only sequence of steps runs the steps after its first one
-    once per subtree object that first step selects."""
-    matches = _decider(p)
-    level = _deepest(p)[0]
+    is compiled once.  A downward-only query whose first step is `↓::l` or
+    `↓*::l` tests each count's distinct root-child objects, in the order of
+    the first tree holding each (and, for `↓*`, an l-labeled root); any
+    other runs on the first tree of each class of a count's trees that
+    agree down to the deepest level it reads."""
     space = _space(d, depth, rep)
+    head = _head(p)
+    if head is None:
+        matches, level = _decider(p), _deepest(p)[0]
+        return next((t for n in space.counts for t in space.classes(n, level) if matches(t)), None)
+    axis, label, test = head
+    seen: dict[int, tuple[DocTree, bool]] = {}
+
+    def below(v: DocTree) -> bool:  # some node labeled l at or below v passes
+        if (got := seen.get(id(v))) is None:
+            found = v.label == label and test(v)
+            for c in v.children:
+                found = found or below(c)
+            got = seen[id(v)] = v, found
+        return got[1]
+    index, passes = (label, test) if axis is Axis.CHILD else (None, below)
     for size in space.counts:
-        for t in space.classes(size, level):
-            if matches(t):
-                return t
+        trees = space.trees(size)
+        hit = next((i for i, v in space.kids(size, index) if passes(v)), len(trees))
+        if index is None and d.root == label:
+            hit = next((i for i, t in enumerate(trees[:hit]) if test(t)), hit)
+        if hit < len(trees):
+            return trees[hit]
     return None
 
 
+def _head(p: Path) -> tuple[Axis, str, Callable[[DocTree], bool]] | None:
+    # for a downward-only query whose first step is `↓::l` or `↓*::l`: that
+    # axis, l, and whether a node passes that step's qualifiers and the
+    # steps after it select a node from it, kept per subtree object
+    first, *rest = p.steps if isinstance(p, Seq) else (p,)
+    base, quals = (first.base, first.quals) if isinstance(first, Qual) else (first, ())
+    if not isinstance(base, Step) or not _downward(p):
+        return None
+    parts = [_filter(lambda nodes: nodes, [_compile_qual(q) for q in quals]), *map(_compile, rest)]
+    return base.axis, base.label, _subtree_test(_chain(parts))
+
+
 def _decider(p: Path) -> Callable[[DocTree], bool]:
-    # whether p selects a node from a tree's root.  A downward-only sequence
-    # takes its first step's selection from the root and runs the rest once
-    # per subtree object selected, over all the trees the search reaches
+    # whether p selects a node from a tree's root; a downward-only sequence
+    # runs its steps after the first once per subtree object that step selects
     if not _downward(p):
         f = _compile(p)
         return lambda t: bool(f({(): ((), t, None)}))
     first, *rest = p.steps if isinstance(p, Seq) else (p,)
     test = _subtree_test(_chain([_compile(x) for x in rest]))
-    match first:
-        case Step(Axis.CHILD, label):
-            # the root's children read in place, as this runs for every
-            # tree: three times faster on chain searches than building the
-            # first step's selection
-            def matches(t: DocTree) -> bool:
-                for v in t.children:
-                    if v.label == label and test(v):
-                        return True
-                return False
-            return matches
     pick = _compile(first)
     return lambda t: any(test(c[1]) for c in pick({(): ((), t, None)}).values())

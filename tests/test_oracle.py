@@ -527,6 +527,122 @@ def test_top_level_unions_and_qualified_sequences_answer_as_before():
     assert found.count(True) == 6 and found.count(False) == 9
 
 
+# ------------------------------------------------------- root-child searches
+
+# the root's first child is one of three leaves, so one `b` object sits in
+# three trees of a count
+SIBS = "root r\nr := (c|e|f)b*\nb := d?a?\nd := a?\na := x?\nc := eps\ne := eps\nf := eps\nx := eps\n"
+
+
+def _by_count(d, depth, rep):
+    counts = {}
+    for t in iter_trees(d, depth, rep):
+        counts.setdefault(node_count(t), []).append(t)
+    return counts
+
+
+def _first_trees(trees, label):
+    """Each distinct root child object labeled `label` (any label for None)
+    of `trees`, with the position of the first tree that holds it."""
+    first = {}
+    for i, t in enumerate(trees):
+        for v in t.children:
+            if label in (None, v.label):
+                first.setdefault(id(v), (i, v))
+    return list(first.values())
+
+
+@pytest.mark.parametrize("dtd, query, depth, want", [
+    (SIBS, "↓::b[↓::d]/↓::a", 4, "r(c,b(d,a))"),           # a qualified first step
+    (SIBS, "↓::b/↓::d/↓::a/↓::x", 5, "r(c,b(d(a(x))))"),
+    (SIBS, "↓::b[↓::a/↓::x]/↓::d", 4, "r(c,b(d,a(x)))"),
+    (SIBS, "↓::b/↓::d/↓::q", 4, None),
+    (SIBS, "↓::c", 3, "r(c)"),                              # a single step
+    (SIBS, "↓*::d[↓::a/↓::x]", 5, "r(c,b(d(a(x))))"),     # the root is not labeled d
+    (SIBS, "↓*::a/↓::x", 4, "r(c,b(a(x)))"),
+    (SIBS, "↓*::d[↓::a/↓::x]", 4, None),
+    (WORKED, "↓*::r/↓::b/↓::a", 3, "r(b(a))"),              # the root is labeled r
+    (WORKED, "↓*::r[↓::c]/↓::c", 3, "r(c)"),
+    (WORKED, "↓*::r/↓::q", 3, None),
+    (WORKED, "↓*::r[↓::r/↓::b]/↓::c", 3, None),
+])
+def test_root_child_searches_return_the_reference_witness(dtd, query, depth, want):
+    d, q = parse_dtd(dtd), parse_xpath(query)
+    got = oracle_satisfiable(d, q, depth, 2)
+    assert got is reference_search(d, q, depth, 2)
+    assert (None if got is None else render_tree(got)) == want
+
+
+def test_the_root_child_index_keeps_each_object_with_its_first_tree():
+    d = parse_dtd(SIBS)
+    space = oracle._space(d, 4, 2)
+    for n, trees in _by_count(d, 4, 2).items():
+        for label in (None, "b", "c", "q"):
+            want = _first_trees(trees, label)
+            got = list(space.kids(n, label))
+            assert [(i, id(v)) for i, v in got] == [(i, id(v)) for i, v in want]
+
+
+def test_a_child_first_witness_is_the_first_tree_holding_a_passing_child():
+    # in the witness's count other `b` objects first appear in earlier
+    # trees, its passing `b` object is held by three trees, and a smaller
+    # count holds no `b` child at all
+    d, q = parse_dtd(SIBS), parse_xpath("↓::b[↓::d]/↓::a")
+    got = oracle_satisfiable(d, q, 4, 2)
+    assert got is reference_search(d, q, 4, 2)
+    counts = _by_count(d, 4, 2)
+    trees = counts[node_count(got)]
+    pos = next(i for i, t in enumerate(trees) if t is got)
+    assert sum(i < pos for i, _ in _first_trees(trees, "b")) >= 5
+    [v] = [v for v in got.children if v.label == "b"]
+    assert sum(any(c is v for c in t.children) for t in trees) == 3
+    assert any(not _first_trees(counts[n], "b") for n in counts if n < node_count(got))
+
+
+def test_a_second_child_first_search_reads_only_the_kept_index(monkeypatch):
+    # after one UNSAT chain has indexed the space, a second one runs its
+    # remainder at most once per distinct `s` child object of each count's
+    # root trees, and reads no root tree's children
+    d = parse_dtd("root r\nr := s*a?\ns := s?a?\na := eps\n")
+    assert oracle_satisfiable(d, parse_xpath("↓::s/↓::s/↓::s/↓::a"), 4, 3) is None
+    counts = _by_count(d, 4, 3)
+    bound = sum(len(_first_trees(trees, "s")) for trees in counts.values())
+    assert bound * 5 < sum(map(len, counts.values()))
+
+    class Sealed(DocTree):
+        __slots__ = ()
+
+        def __getattribute__(self, name):
+            assert name != "children", "a root tree's children were read"
+            return super().__getattribute__(name)
+
+    space = oracle._space(d, 4, 3)
+    for n, trees in space.built.items():
+        space.built[n] = tuple(Sealed(t.label, t.children) for t in trees)
+    runs, real = [0], oracle._chain
+
+    def counted(parts):
+        f = real(parts)
+
+        def run(nodes):
+            runs[0] += 1
+            return f(nodes)
+        return run
+
+    monkeypatch.setattr(oracle, "_chain", counted)
+    assert oracle_satisfiable(d, parse_xpath("↓::s/↓::a/↓::s"), 4, 3) is None
+    assert 0 < runs[0] <= bound
+
+
+def test_a_deep_descendant_search_still_answers():
+    # the `↓*` search recurses once per level, no deeper than building the
+    # space does
+    d = parse_dtd("root r\nr := r?\n")
+    assert oracle_satisfiable(d, parse_xpath("↓*::q"), 320, 2) is None
+    assert oracle_satisfiable(d, parse_xpath("↓*::r/↓::q"), 320, 2) is None
+    assert render_tree(oracle_satisfiable(d, parse_xpath("↓*::r/↓::r"), 320, 2)) == "r(r)"
+
+
 # --------------------------------------------------------------- enumeration
 
 
