@@ -1,10 +1,14 @@
 """Command-line front end.
 
-Subcommands: classify, sat, oracle, equiv, delta, graph.  Exit codes:
-0 positive answer (SAT / equivalent / success), 1 negative or unknown answer,
-2 malformed input, 3 DTD outside the supported class, 4 query outside both
-decision procedures, 5 internal error (a fault of the program, never an
-answer).  All output is deterministic for fixed inputs.
+Subcommands: classify, sat, oracle, equiv, delta, graph.  A command prints
+nothing: it returns its exit code, JSON object and text lines, leaving out
+(None) a form whose building costs a decider run or a render when the other
+form is the one printed.  `main` alone prints the object (`--json`) or the
+lines, and maps exceptions to exit codes: 0 positive answer (SAT /
+equivalent / success), 1 negative or unknown answer, 2 malformed input, 3
+DTD outside the supported class, 4 query outside both decision procedures,
+5 internal error (a fault of the program, never an answer).  All output is
+deterministic for fixed inputs.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ import argparse
 import json
 import sys
 from pathlib import Path as FsPath
+from typing import Optional, Sequence
 
 from . import content_model as cm
 from . import dtd as dtdmod
@@ -28,120 +33,91 @@ EXIT_NOT_MRW = 3
 EXIT_FRAGMENT = 4
 EXIT_INTERNAL = 5
 
+Result = tuple[int, Optional[dict], Optional[Sequence[str]]]
+
 
 def _load_dtd(args) -> dtdmod.Dtd:
     text = FsPath(args.dtd).read_text(encoding="utf-8")
     return dtdmod.load_dtd(text, fmt=args.format, root=args.root)
 
 
-def _emit_json(obj) -> None:
-    print(json.dumps(obj, ensure_ascii=False, sort_keys=True, indent=2))
-
-
-def _cmd_classify(args) -> int:
+def _cmd_classify(args) -> Result:
     d = _load_dtd(args)
     per_rule = {lbl: dtdmod.classify_model(d.model(lbl)) for lbl in d.labels}
     dtd_level = dtdmod.classify_dtd(d)
-    if args.json:
-        _emit_json({"root": d.root, "rules": per_rule, "dtd": dtd_level})
-    else:
-        for lbl in d.labels:
-            flags = " ".join(f"{k}={_yn(v)}" for k, v in per_rule[lbl].items())
-            print(f"rule {lbl}: {flags}")
-        print("dtd: " + " ".join(f"{k}={_yn(v)}" for k, v in dtd_level.items()))
-    return EXIT_YES
+    rows = [(f"rule {lbl}", cls) for lbl, cls in per_rule.items()] + [("dtd", dtd_level)]
+    lines = [
+        f"{head}: " + " ".join(f"{k}={'yes' if v else 'no'}" for k, v in cls.items())
+        for head, cls in rows
+    ]
+    return EXIT_YES, {"root": d.root, "rules": per_rule, "dtd": dtd_level}, lines
 
 
-def _yn(v: bool) -> str:
-    return "yes" if v else "no"
-
-
-def _cmd_sat(args) -> int:
+def _cmd_sat(args) -> Result:
     d = _load_dtd(args)
     p = parse_xpath(args.xpath)
-    v = (_traced_verdict if args.json or args.trace else satisfiable)(d, p)
-    if args.json:
-        _emit_json({
-            "verdict": "SAT" if v.sat else "UNSAT",
-            "algorithm": v.algorithm,
-            "final_state": v.final_state,
-            "trace": list(v.trace),
-        })
-    else:
-        if args.trace:
-            for line in v.trace:
-                print(line)
-        else:
-            print("SAT" if v.sat else "UNSAT")
-    return EXIT_YES if v.sat else EXIT_NO
+    # --trace and --json print the trace, so they take the traced run; an
+    # untraced verdict renders its trace by running the decider again
+    traced = args.json or args.trace
+    v = (_traced_verdict if traced else satisfiable)(d, p)
+    verdict = "SAT" if v.sat else "UNSAT"
+    obj = {
+        "verdict": verdict,
+        "algorithm": v.algorithm,
+        "final_state": v.final_state,
+        "trace": list(v.trace),
+    } if traced else None
+    return (EXIT_YES if v.sat else EXIT_NO), obj, (v.trace if args.trace else [verdict])
 
 
-def _cmd_oracle(args) -> int:
+def _cmd_oracle(args) -> Result:
     if args.depth < 1 or (args.rep is not None and args.rep < 1):
         raise ParseError("search bounds must be at least 1")
     d = _load_dtd(args)
     p = parse_xpath(args.xpath)
-    depth = args.depth
     rep = args.rep if args.rep is not None else max(2, size(p))
-    witness = orc.oracle_satisfiable(d, p, depth, rep)
-    if args.json:
-        obj = {"verdict": "SAT" if witness else "UNKNOWN"}
-        if witness:
-            obj["witness"] = orc.render_tree(witness)
-        _emit_json(obj)
-    else:
-        print(f"SAT {orc.render_tree(witness)}" if witness else "UNKNOWN")
-    return EXIT_YES if witness else EXIT_NO
+    try:
+        witness = orc.oracle_satisfiable(d, p, args.depth, rep)
+        term = witness and orc.render_tree(witness)
+    except RecursionError:
+        # building the tree space and rendering a witness recurse once per
+        # level, so a deep enough bound overflows the interpreter's stack
+        raise ParseError(f"depth bound {args.depth} is too deep to search") from None
+    if not witness:
+        return EXIT_NO, {"verdict": "UNKNOWN"}, ["UNKNOWN"]
+    return EXIT_YES, {"verdict": "SAT", "witness": term}, [f"SAT {term}"]
 
 
-def _cmd_equiv(args) -> int:
+def _cmd_equiv(args) -> Result:
     e1 = cm.parse_content_model(args.model1)
     e2 = cm.parse_content_model(args.model2)
     cx = cm.equivalence_counterexample(e1, e2)
-    if args.json:
-        obj = {"equivalent": cx is None}
-        if cx is not None:
-            obj["counterexample"] = list(cx)
-        _emit_json(obj)
-    else:
-        if cx is None:
-            print("equivalent")
-        else:
-            print(f"not equivalent: {' '.join(cx) if cx else 'ε'}")
-    return EXIT_YES if cx is None else EXIT_NO
+    if cx is None:
+        return EXIT_YES, {"equivalent": True}, ["equivalent"]
+    obj = {"equivalent": False, "counterexample": list(cx)}
+    return EXIT_NO, obj, [f"not equivalent: {' '.join(cx) if cx else 'ε'}"]
 
 
-def _cmd_delta(args) -> int:
+def _cmd_delta(args) -> Result:
     if args.model is not None:
         e = cm.parse_content_model(args.model)
         if not dtdmod.is_mrw(e):
             raise NotMRW("<model>", cm.render(e))
         out = cm.render(dtdmod.delta(e))
-        if args.json:
-            _emit_json({"model": out})
-        else:
-            print(out)
-        return EXIT_YES
-    d = _load_dtd(args)
-    dd = dtdmod.delta_dtd(d)
-    if args.json:
-        alphabet = frozenset(dd.labels)
-        _emit_json({
-            "root": dd.root,
-            "rules": {lbl: cm.render(dd.model(lbl), alphabet) for lbl in dd.labels},
-        })
-    else:
-        print(dtdmod.render_dtd(dd), end="")
-    return EXIT_YES
+        return EXIT_YES, {"model": out}, [out]
+    dd = dtdmod.delta_dtd(_load_dtd(args))
+    if not args.json:
+        return EXIT_YES, None, dtdmod.render_dtd(dd).splitlines()
+    alphabet = frozenset(dd.labels)
+    rules = {lbl: cm.render(dd.model(lbl), alphabet) for lbl in dd.labels}
+    return EXIT_YES, {"root": dd.root, "rules": rules}, None
 
 
-def _cmd_graph(args) -> int:
+def _cmd_graph(args) -> Result:
     g = compile_dtd(_load_dtd(args))
     if args.json:
-        _emit_json(g.to_json_obj())
-    else:
-        print(g.render_text(), end="")
-    return EXIT_YES
+        return EXIT_YES, g.to_json_obj(), None
+    return EXIT_YES, None, g.render_text().splitlines()
 
 
 def _add_dtd_options(sp, model: bool = False) -> None:
@@ -167,14 +143,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("classify", help="content-model class flags per rule")
     _add_dtd_options(sp)
-    sp.add_argument("--json", action="store_true")
     sp.set_defaults(func=_cmd_classify)
 
     sp = sub.add_parser("sat", help="decide query satisfiability")
     _add_dtd_options(sp)
     sp.add_argument("--xpath", required=True, help="the query")
     sp.add_argument("--trace", action="store_true", help="print evaluation states")
-    sp.add_argument("--json", action="store_true")
     sp.set_defaults(func=_cmd_sat)
 
     sp = sub.add_parser("oracle", help="bounded exhaustive search for a witness")
@@ -185,33 +159,36 @@ def build_parser() -> argparse.ArgumentParser:
         "--rep", type=int, default=None,
         help="star repetition bound (default: max(2, query size))",
     )
-    sp.add_argument("--json", action="store_true")
     sp.set_defaults(func=_cmd_oracle)
 
     sp = sub.add_parser("equiv", help="language equivalence of two content models")
     sp.add_argument("model1")
     sp.add_argument("model2")
-    sp.add_argument("--json", action="store_true")
     sp.set_defaults(func=_cmd_equiv)
 
     sp = sub.add_parser("delta", help="normalize onto the star-only shape")
     _add_dtd_options(sp, model=True)
-    sp.add_argument("--json", action="store_true")
     sp.set_defaults(func=_cmd_delta)
 
     sp = sub.add_parser("graph", help="export the schema graph")
     _add_dtd_options(sp)
-    sp.add_argument("--json", action="store_true")
     sp.set_defaults(func=_cmd_graph)
 
+    # last, so that each command's help lists it after its own options
+    for sp in sub.choices.values():
+        sp.add_argument("--json", action="store_true")
     return ap
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code, obj, lines = args.func(args)
+        if args.json:
+            print(json.dumps(obj, ensure_ascii=False, sort_keys=True, indent=2))
+        else:
+            print(*lines, sep="\n")
+        return code
     except NotMRW as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NOT_MRW

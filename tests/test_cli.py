@@ -14,7 +14,7 @@ import sys
 
 import pytest
 
-from xpathsat import sat_checker
+from xpathsat import cli, sat_checker
 from xpathsat import load_dtd, parse_content_model, parse_dtd
 from xpathsat.cli import main
 
@@ -336,6 +336,22 @@ def test_oracle_bad_bounds(worked_file):
     assert err == "error: search bounds must be at least 1\n"
 
 
+@pytest.mark.parametrize("depth,query", [
+    # the tree space recurses once per level as it is built
+    (600, "↓::q"),
+    # a witness 451 levels deep is found, and its tree term recurses per level
+    (460, "/".join(["↓::r"] * 450)),
+], ids=["space", "witness"])
+def test_oracle_depth_too_deep_is_an_input_error(tmp_path, depth, query):
+    chain = tmp_path / "chain.dtd"
+    chain.write_text("root r\nr := r?\n")
+    code, out, err = run(
+        ["oracle", "--dtd", str(chain), "--xpath", query, "--depth", str(depth), "--rep", "2"]
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: depth bound {depth} is too deep to search\n"
+
+
 # ---------------------------------------------------------------------- equiv
 
 
@@ -350,6 +366,18 @@ def test_equiv_counterexample():
     assert run(["equiv", "eps", "a"]) == (1, "not equivalent: ε\n", "")
 
 
+@pytest.mark.parametrize("m1,m2,want", [
+    ("ab+|ab+c", "ab+c?", {"equivalent": True}),
+    ("a", "ab", {"equivalent": False, "counterexample": ["a"]}),
+    # the empty word is the empty list
+    ("eps", "a", {"equivalent": False, "counterexample": []}),
+])
+def test_equiv_json(m1, m2, want):
+    code, out, err = run(["equiv", m1, m2, "--json"])
+    assert (code, err) == (0 if want["equivalent"] else 1, "")
+    assert json.loads(out) == want
+
+
 def test_equiv_parse_error():
     code, out, err = run(["equiv", "a(", "a"])
     assert (code, out) == (2, "")
@@ -361,6 +389,12 @@ def test_equiv_parse_error():
 
 def test_delta_model():
     assert run(["delta", "--model", "a*((b#(c#d))a*)?"]) == (0, "a*bcda*\n", "")
+
+
+def test_delta_model_json():
+    code, out, err = run(["delta", "--model", "a?b+", "--json"])
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"model": "ab*"}
 
 
 def test_delta_model_rejects_non_mrw():
@@ -511,6 +545,16 @@ def test_usage_errors():
     assert code == 2 and "invalid choice" in err
     code, _, err = run([])
     assert code == 2
+
+
+def test_console_script_exits_with_mains_code(worked_file, monkeypatch, capsys):
+    # `entry` is the console-script target: it reads sys.argv
+    for q, code, out in [(SAT_Q, 0, "SAT\n"), (UNSAT_Q, 1, "UNSAT\n")]:
+        monkeypatch.setattr(sys, "argv", ["xpathsat", "sat", "--dtd", worked_file, "--xpath", q])
+        with pytest.raises(SystemExit) as info:
+            cli.entry()
+        assert info.value.code == code
+        assert capsys.readouterr().out == out
 
 
 def test_module_entry_point(worked_file):

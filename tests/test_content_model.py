@@ -139,6 +139,17 @@ def test_parse_errors():
     assert parse_content_model("a1b", frozenset({"a1b"})) == Symbol("a1b")
 
 
+@pytest.mark.parametrize("text,message", [
+    ("a,,b", "dangling comma in content model"),
+    ("a#b#c", "chained # needs parentheses"),
+    ("a|*", "unexpected token '*' in content model"),
+])
+def test_parse_error_messages(text, message):
+    with pytest.raises(ParseError) as info:
+        parse_content_model(text)
+    assert str(info.value) == message
+
+
 # single characters, whitespace among them, plus whole tokens so that many
 # strings lex cleanly
 _LEX_ALPHABET = list("()|,*?+#aZ_09.- \t\n\x1c\x85\xa0\u3000é!") + [

@@ -542,6 +542,16 @@ def test_root_override_with_no_rule_is_refused(fmt, text, noun):
     assert str(info.value) == f"root 'q' has no {noun}"
 
 
+@pytest.mark.parametrize("refuse,error,message", [
+    (lambda: load_dtd("root r\nr := eps\n", fmt="sgml"), ParseError, "unknown DTD format 'sgml'"),
+    (lambda: Dtd("x", {}), DtdError, "root 'x' has no rule"),
+])
+def test_api_refusals(refuse, error, message):
+    with pytest.raises(error) as info:
+        refuse()
+    assert str(info.value) == message
+
+
 def _as_xml(d):
     return f"<!-- root: {d.root} -->\n" + "".join(
         f"<!ELEMENT {lbl} {render(d.model(lbl))}>\n" for lbl in d.labels

@@ -39,3 +39,31 @@ def test_modules_use_every_name_they_import():
         if imported - used:
             unused[path.name] = sorted(imported - used)
     assert not unused
+
+
+def test_only_cli_main_prints():
+    # commands return their result and `cli.main` alone prints it, as text
+    # or JSON, so output added to a command is written once
+    src = pathlib.Path(xpathsat.__file__).parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = set()
+        if path.name == "cli.py":
+            main = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "main")
+            allowed = {id(n) for n in ast.walk(main)}
+        for node in ast.walk(tree):
+            prints = (
+                isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "print" and id(node) not in allowed
+            )
+            stdout = (
+                isinstance(node, ast.Attribute) and node.attr == "stdout"
+                and isinstance(node.value, ast.Name) and node.value.id == "sys"
+            ) or (
+                isinstance(node, ast.ImportFrom) and node.module == "sys"
+                and any(a.name == "stdout" for a in node.names)
+            )
+            if prints or stdout:
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found

@@ -477,6 +477,19 @@ def test_satisfiable_rejects_full_fragment(q):
         satisfiable(d, q)
 
 
+@pytest.mark.parametrize("decide,q,message", [
+    (eval1, "↓::r[↓::b]", "not a plain step sequence: child::r[child::b]"),
+    (eval1, "↓*::r", "axis desc-or-self is outside eval1"),
+    (eval2, "↑::r", "axis parent is outside eval2"),
+    (eval2, "↓::r[↓::b or ↓::c]", "qualifier disjunction is outside eval2"),
+    (eval2, "↓::r ∪ ↓::b", "union is outside eval2"),
+])
+def test_deciders_refuse_queries_outside_their_fragment(decide, q, message):
+    with pytest.raises(UnsupportedFragment) as info:
+        decide(worked_graph(), parse_xpath(q))
+    assert str(info.value) == message
+
+
 def test_satisfiable_normalizes_mrw_dtd_first():
     # an MRW model that is not MDF/DC must still be decidable
     d = parse_dtd("root r\nr := (a|b)*ca+\na := eps\nb := eps\nc := eps\n")
