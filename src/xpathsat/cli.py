@@ -7,14 +7,15 @@ form is the one printed.  `main` alone prints the object (`--json`) or the
 lines, and maps exceptions to exit codes: 0 positive answer (SAT /
 equivalent / success), 1 negative or unknown answer, 2 malformed input, 3
 DTD outside the supported class, 4 query outside both decision procedures,
-5 internal error (a fault of the program, never an answer).  All output is
-deterministic for fixed inputs.
+5 internal error (a fault of the program, never an answer), 6 a failed
+write of the output.  All output is deterministic for fixed inputs.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path as FsPath
 from typing import Optional, Sequence
@@ -32,12 +33,16 @@ EXIT_INPUT = 2
 EXIT_NOT_MRW = 3
 EXIT_FRAGMENT = 4
 EXIT_INTERNAL = 5
+EXIT_OUTPUT = 6
 
 Result = tuple[int, Optional[dict], Optional[Sequence[str]]]
 
 
 def _load_dtd(args) -> dtdmod.Dtd:
-    text = FsPath(args.dtd).read_text(encoding="utf-8")
+    try:
+        text = FsPath(args.dtd).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(str(exc)) from exc
     return dtdmod.load_dtd(text, fmt=args.format, root=args.root)
 
 
@@ -184,10 +189,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         code, obj, lines = args.func(args)
+        # flushed, so that a failed write fails here and not at exit
         if args.json:
-            print(json.dumps(obj, ensure_ascii=False, sort_keys=True, indent=2))
+            print(json.dumps(obj, ensure_ascii=False, sort_keys=True, indent=2), flush=True)
         else:
-            print(*lines, sep="\n")
+            print(*lines, sep="\n", flush=True)
         return code
     except NotMRW as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -195,9 +201,12 @@ def main(argv=None) -> int:
     except UnsupportedFragment as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FRAGMENT
-    except (ParseError, DtdError, OSError) as exc:
+    except (ParseError, DtdError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except OSError as exc:  # the file reads raise ParseError, so a write failed
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_OUTPUT
     except Exception as exc:
         detail = " ".join(f"{type(exc).__name__}: {exc}".split())
         print(f"error: internal error: {detail}", file=sys.stderr)
@@ -205,7 +214,10 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    code = main()
+    if code == EXIT_OUTPUT:  # drop the unwritten output, or exit retries it
+        os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

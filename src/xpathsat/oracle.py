@@ -14,23 +14,19 @@ built when a search first reaches that count; like `Dtd.covers`, the kept
 space assumes the instance's rules are not mutated.
 
 A search compiles its query once, into closures over parent-linked nodes
-that never walk down from the root again.  Without `↓*`, a query read
-from the root reads no node below a level its syntax names (`_deepest`),
-so within a node count the search runs it on the first tree of each class
-of trees that agree down to that level.
-
-What a downward-only query (`↓` and `↓*` steps only, within qualifiers
-too) selects below a node depends on that node's subtree alone, and the
-trees of a space share their subtree objects, so the one compiler, run
-with a subtree as the root, answers for every position of that object,
-and a search keeps the answer per object.  When the first step is `↓::l`
-or `↓*::l`, the search tests each node count's distinct root-child
-objects (`_Space.kids`) in the order of the first tree holding each, so
-the first passing one names the first matching tree.  Other downward-only
-sequences run the steps after the first once per object that step
-selects, and in any query a downward-only qualifier is tested once per
-subtree object.  Either way the witness is the tree a scan of every tree
-with the full evaluator finds.
+that never walk down from the root again, and tests per node count the
+objects `_plan` picks, in an order where the first passing one names the
+first matching tree.  What a downward-only query (`↓` and `↓*` steps only,
+within qualifiers too) selects below a node depends on that node's subtree
+alone, and the trees of a space share their subtree objects, so its answer
+is kept per object, and one whose first step is `↓::l` or `↓*::l` tests
+each count's distinct root-child objects (`_Space.kids`) in the order of
+the first tree holding each.  When l is the root's label, `↓*::l` tests
+the roots alone: a passing l node below a root roots a smaller tree of the
+space, which comes earlier.  Any other query reads no node below a level
+its syntax names (`_deepest`; a `↓*` reads every level), so it runs on the
+first tree of each class of a count's trees that agree down to that level.
+Each way the witness is the tree a scan of every tree would find.
 """
 
 from __future__ import annotations
@@ -94,15 +90,14 @@ def _term(cur: cm.Cursor) -> DocTree:
 def conforms(t: DocTree, d: Dtd) -> bool:
     if t.label != d.root:
         return False
-    nfas = d.nfas
-
-    def ok(v: DocTree) -> bool:
-        if v.label not in nfas:
-            return False
+    nfas, stack = d.nfas, [t]
+    while stack:
+        v = stack.pop()
         word = tuple(c.label for c in v.children)
-        return nfas[v.label].accepts(word) and all(ok(c) for c in v.children)
-
-    return ok(t)
+        if v.label not in nfas or not nfas[v.label].accepts(word):
+            return False
+        stack.extend(v.children)
+    return True
 
 
 # --- full query semantics --------------------------------------------------------
@@ -493,57 +488,49 @@ def _space(d: Dtd, depth: int, rep: int) -> _Space:
 def oracle_satisfiable(d: Dtd, p: Path, depth: int, rep: int) -> DocTree | None:
     """First conforming tree (smallest first: node count, then preorder
     labels) matching p; the search stops there.  None when the bounded
-    search is exhausted, which means unknown, not unsatisfiable.  The query
-    is compiled once.  A downward-only query whose first step is `↓::l` or
-    `↓*::l` tests each count's distinct root-child objects, in the order of
-    the first tree holding each (and, for `↓*`, an l-labeled root); any
-    other runs on the first tree of each class of a count's trees that
-    agree down to the deepest level it reads."""
+    search is exhausted, which means unknown, not unsatisfiable.  Per node
+    count, a downward-only query whose first step is `↓::l`, or `↓*::l` for
+    an l other than the root's label, tests the distinct root-child objects;
+    one led by `↓*::l` for the root's label, the trees; and any other query,
+    the first tree of each class of trees that agree down to the deepest
+    level it reads."""
     space = _space(d, depth, rep)
-    head = _head(p)
-    if head is None:
-        matches, level = _decider(p), _deepest(p)[0]
-        return next((t for n in space.counts for t in space.classes(n, level) if matches(t)), None)
-    axis, label, test = head
-    seen: dict[int, tuple[DocTree, bool]] = {}
-
-    def below(v: DocTree) -> bool:  # some node labeled l at or below v passes
-        if (got := seen.get(id(v))) is None:
-            found = v.label == label and test(v)
-            for c in v.children:
-                found = found or below(c)
-            got = seen[id(v)] = v, found
-        return got[1]
-    index, passes = (label, test) if axis is Axis.CHILD else (None, below)
+    scan, test = _plan(p, d.root)
     for size in space.counts:
-        trees = space.trees(size)
-        hit = next((i for i, v in space.kids(size, index) if passes(v)), len(trees))
-        if index is None and d.root == label:
-            hit = next((i for i, t in enumerate(trees[:hit]) if test(t)), hit)
-        if hit < len(trees):
+        trees, objects = scan(space, size)
+        hit = next((i for i, v in objects if test(v)), None)
+        if hit is not None:
             return trees[hit]
     return None
 
 
-def _head(p: Path) -> tuple[Axis, str, Callable[[DocTree], bool]] | None:
-    # for a downward-only query whose first step is `↓::l` or `↓*::l`: that
-    # axis, l, and whether a node passes that step's qualifiers and the
-    # steps after it select a node from it, kept per subtree object
+def _plan(p: Path, root: str) -> tuple[Callable, Callable[[DocTree], bool]]:
+    # for a node count, the trees a hit is returned from and the (position
+    # among them, object) pairs to test in order; and the test of an object
     first, *rest = p.steps if isinstance(p, Seq) else (p,)
     base, quals = (first.base, first.quals) if isinstance(first, Qual) else (first, ())
     if not isinstance(base, Step) or not _downward(p):
-        return None
+        level = _deepest(p)[0]
+        return lambda space, n: _each(space.classes(n, level)), _decider(p)
+    # whether a node passes the first step's qualifiers and the steps after
+    # it select a node from it, kept per subtree object
     parts = [_filter(lambda nodes: nodes, [_compile_qual(q) for q in quals]), *map(_compile, rest)]
-    return base.axis, base.label, _subtree_test(_chain(parts))
+    test = _subtree_test(_chain(parts))
+    if base.axis is Axis.CHILD:
+        return lambda space, n: (space.trees(n), space.kids(n, base.label)), test
+    if base.label == root:
+        # a passing l node below a root roots a smaller tree of the space,
+        # which comes earlier and passes at its root
+        return lambda space, n: _each(space.trees(n)), test
+    below = _subtree_test(_filter(_compile(base), [lambda c: test(c[1])]))
+    return lambda space, n: (space.trees(n), space.kids(n, None)), below
+
+
+def _each(trees: tuple[DocTree, ...]) -> tuple[tuple[DocTree, ...], Iterable]:
+    return trees, enumerate(trees)
 
 
 def _decider(p: Path) -> Callable[[DocTree], bool]:
-    # whether p selects a node from a tree's root; a downward-only sequence
-    # runs its steps after the first once per subtree object that step selects
-    if not _downward(p):
-        f = _compile(p)
-        return lambda t: bool(f({(): ((), t, None)}))
-    first, *rest = p.steps if isinstance(p, Seq) else (p,)
-    test = _subtree_test(_chain([_compile(x) for x in rest]))
-    pick = _compile(first)
-    return lambda t: any(test(c[1]) for c in pick({(): ((), t, None)}).values())
+    # whether p selects a node from a tree's root
+    f = _compile(p)
+    return lambda t: bool(f({(): ((), t, None)}))

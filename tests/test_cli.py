@@ -244,6 +244,43 @@ def test_sat_missing_dtd_file(tmp_path):
     assert "No such file" in err
 
 
+def test_dtd_file_that_is_not_utf8_is_an_input_error(tmp_path):
+    p = tmp_path / "latin.dtd"
+    p.write_bytes(b"root r\nr := \xff\n")
+    code, out, err = run(["sat", "--dtd", str(p), "--xpath", "↓::a"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: 'utf-8' codec can't decode byte 0xff")
+
+
+class _FailingOut(io.StringIO):
+    def write(self, s):
+        raise OSError(5, "Input/output error")
+
+
+@pytest.mark.parametrize("argv", [["equiv", "a", "aa"], ["equiv", "--json", "a", "a"]])
+def test_a_failed_output_write_has_its_own_exit_code(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(_FailingOut()), contextlib.redirect_stderr(err):
+        assert main(argv) == cli.EXIT_OUTPUT == 6
+    assert err.getvalue() == "error: cannot write output: [Errno 5] Input/output error\n"
+
+
+def test_a_closed_pipe_exits_6_from_the_console_script():
+    # stdout is block-buffered here, so the write fails when `main` flushes it
+    # and not when the interpreter exits (which would exit 120)
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "xpathsat.cli", "equiv", "a", "aa"], stdout=w,
+            stderr=subprocess.PIPE, text=True, env={**os.environ, "PYTHONUNBUFFERED": ""},
+        )
+    finally:
+        os.close(w)
+    assert proc.returncode == 6
+    assert proc.stderr == "error: cannot write output: [Errno 32] Broken pipe\n"
+
+
 def test_sat_empty_dtd_file(tmp_path):
     p = tmp_path / "empty.dtd"
     p.write_text("")

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import re
+import sys
 from functools import lru_cache
 from itertools import islice, product, zip_longest
 from math import inf
@@ -126,6 +127,20 @@ def test_conforms_single_label():
 
 def test_conforms_rejects_undeclared_label():
     assert not conforms(parse_tree("r(q)"), worked())
+
+
+def test_conforms_checks_a_deep_chain_without_recursion():
+    d = parse_dtd("root r\nr := r?\n")
+    chain, bad = DocTree("r"), DocTree("q")
+    for _ in range(2000):
+        chain, bad = DocTree("r", (chain,)), DocTree("r", (bad,))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # the interpreter's default
+    try:
+        assert conforms(chain, d)  # 2,001 nodes
+        assert not conforms(bad, d)  # its deepest node is undeclared
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_conforms_builds_its_automata_once_per_dtd(monkeypatch):
@@ -525,6 +540,19 @@ def test_top_level_unions_and_qualified_sequences_answer_as_before():
             assert got is reference_search(d, q, depth, 2), (query, depth)
             found.append(got is not None)
     assert found.count(True) == 6 and found.count(False) == 9
+    # so does a downward-only sequence led by a union or a group
+    led = []
+    for query in [
+        "(↓::b ∪ ↓::a)/↓::x", "(↓::b ∪ ↓::a)/↓::c", "(↓::b/↓::d ∪ ↓*::d)/↓::a/↓::x",
+        "(↓::b[↓::a] ∪ ↓::a)[↓::x]/↓::x", "(↓::b/↓::d)[↓::a]/↓::a/↓::x",
+    ]:
+        q = parse_xpath(query)
+        assert oracle._downward(q) and isinstance(q, Seq) and not isinstance(q.steps[0], Step)
+        for depth in (3, 4, 5):
+            got = oracle_satisfiable(d, q, depth, 2)
+            assert got is reference_search(d, q, depth, 2), (query, depth)
+            led.append(got is not None)
+    assert led.count(True) == 8 and led.count(False) == 7
 
 
 # ------------------------------------------------------- root-child searches
@@ -635,12 +663,20 @@ def test_a_second_child_first_search_reads_only_the_kept_index(monkeypatch):
 
 
 def test_a_deep_descendant_search_still_answers():
-    # the `↓*` search recurses once per level, no deeper than building the
-    # space does
+    # a `↓*` step walks a subtree with a stack, so the search recurses no
+    # deeper than building the space does
     d = parse_dtd("root r\nr := r?\n")
     assert oracle_satisfiable(d, parse_xpath("↓*::q"), 320, 2) is None
     assert oracle_satisfiable(d, parse_xpath("↓*::r/↓::q"), 320, 2) is None
     assert render_tree(oracle_satisfiable(d, parse_xpath("↓*::r/↓::r"), 320, 2)) == "r(r)"
+
+
+def test_a_descendant_search_for_the_root_label_tests_the_roots_alone():
+    # a passing `r` node below a root roots a smaller tree, which comes
+    # earlier in the stream, so no count's root children are indexed
+    d = parse_dtd("root r\nr := s*a?\ns := s?a?\na := eps\n")
+    assert oracle_satisfiable(d, parse_xpath("↓*::r/↓::q"), 5, 3) is None
+    assert not oracle._space(d, 5, 3).roots
 
 
 # --------------------------------------------------------------- enumeration

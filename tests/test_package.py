@@ -41,6 +41,38 @@ def test_modules_use_every_name_they_import():
     assert not unused
 
 
+def test_every_private_top_level_name_is_used_elsewhere():
+    # a private function, class or constant that only its own body names
+    # is left over from a removed route; tests do not count as a use
+    src = pathlib.Path(xpathsat.__file__).parent
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(src.glob("*.py"))}
+    defined = {}  # (module, name) -> ids of the nodes of its definition
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            else:
+                targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            for name in names:
+                if name.startswith("_") and not name.startswith("__"):
+                    defined[module, name] = {id(n) for n in ast.walk(node)}
+    uses = []  # (node id, name) of every read of a name, attribute or import
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                uses.append((id(node), node.id))
+            elif isinstance(node, ast.Attribute):
+                uses.append((id(node), node.attr))
+            elif isinstance(node, ast.alias):
+                uses.append((id(node), node.name))
+    orphans = [
+        f"{module}:{name}" for (module, name), own in defined.items()
+        if not any(used == name and i not in own for i, used in uses)
+    ]
+    assert not orphans
+
+
 def test_only_cli_main_prints():
     # commands return their result and `cli.main` alone prints it, as text
     # or JSON, so output added to a command is written once
