@@ -8,7 +8,8 @@ characters: the alphabet is the set of element names of a DTD.
 
 Membership, equivalence and word enumeration run on a position automaton
 built from the hash-free expansion of an expression, so every operation here
-is exact on the whole language, not on samples.
+is exact on the whole language, not on samples.  Walkers that only visit
+a node's direct parts, such as `symbol_counts`, read them through `operands`.
 """
 
 from __future__ import annotations
@@ -29,8 +30,7 @@ T = TypeVar("T")
 
 @dataclass(frozen=True, slots=True)
 class Epsilon:
-    def __repr__(self) -> str:
-        return "Epsilon()"
+    """The empty word."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -110,23 +110,30 @@ def disj_of(items: list[Expr] | tuple[Expr, ...]) -> Expr:
     return Disj(tuple(flat))
 
 
-def symbol_counts(e: Expr) -> dict[str, int]:
-    """Number of syntactic occurrences of each label in e."""
-    counts: dict[str, int] = {}
+def operands(e: Expr) -> tuple[Expr, ...]:
+    """e's direct parts, left to right; a # lists its left tuple first."""
+    match e:
+        case Concat(items) | Disj(items):
+            return items
+        case Symbol(_) | Epsilon():
+            return ()
+        case Star(item) | Opt(item) | Plus(item):
+            return (item,)
+        case Hash(left, right):
+            return left + right
+    raise TypeError(f"not an expression: {e!r}")
 
-    def walk(x: Expr) -> None:
-        match x:
-            case Symbol(name):
-                counts[name] = counts.get(name, 0) + 1
-            case Concat(items) | Disj(items):
-                for it in items:
-                    walk(it)
-            case Star(item) | Opt(item) | Plus(item):
-                walk(item)
-            case Hash(left, right):
-                for it in left + right:
-                    walk(it)
-    walk(e)
+
+def symbol_counts(e: Expr) -> dict[str, int]:
+    """Occurrences of each label in e, keyed in first-occurrence order."""
+    counts: dict[str, int] = {}
+    todo = [e]
+    while todo:
+        x = todo.pop()
+        if type(x) is Symbol:
+            counts[x.name] = counts.get(x.name, 0) + 1
+        else:
+            todo += reversed(operands(x))
     return counts
 
 
@@ -278,7 +285,7 @@ class _Parser(Cursor):
         rhs = self.parse_item()
         if self.peek() == "#":
             raise ParseError("chained # needs parentheses")
-        return Hash(_operands(item), _operands(rhs))
+        return Hash(_hash_operands(item), _hash_operands(rhs))
 
     def parse_item(self) -> Expr:
         e = self.parse_base()
@@ -305,7 +312,7 @@ class _Parser(Cursor):
         raise ParseError(f"unexpected token {tok!r} in content model")
 
 
-def _operands(e: Expr) -> tuple[Expr, ...]:
+def _hash_operands(e: Expr) -> tuple[Expr, ...]:
     # A parenthesized group lists its concatenation items as # operands.
     if isinstance(e, Concat):
         return e.items
@@ -373,7 +380,7 @@ def _render(e: Expr, prec: int, longer: dict[str, list[str]]) -> str:
         case Hash(left, right):
             # the reader lists a group's concatenation items as operands, so
             # a tuple it would read otherwise prints as the expanded model
-            if any(_operands(concat_of(ops)) != ops for ops in (left, right)):
+            if any(_hash_operands(concat_of(ops)) != ops for ops in (left, right)):
                 return _render(expand_hash(e), prec, longer)
             ls = ",".join(_render(it, _PREC_POSTFIX, longer) for it in left)
             rs = ",".join(_render(it, _PREC_POSTFIX, longer) for it in right)

@@ -33,7 +33,7 @@ from . import content_model as cm
 from .constraints import Cover
 from .content_model import (
     Concat, Disj, Epsilon, Expr, Hash, Opt, Plus, Star, Symbol,
-    concat_of, parse_content_model, render, symbol_counts,
+    concat_of, operands, parse_content_model, render, symbol_counts,
 )
 from .errors import DtdError, NotMRW, ParseError
 
@@ -108,16 +108,7 @@ def is_dc_qph(e: Expr) -> bool:
 
 
 def _contains(e: Expr, kinds: tuple[type, ...]) -> bool:
-    if isinstance(e, kinds):
-        return True
-    match e:
-        case Concat(items) | Disj(items):
-            return any(_contains(it, kinds) for it in items)
-        case Star(item) | Opt(item) | Plus(item):
-            return _contains(item, kinds)
-        case Hash(left, right):
-            return any(_contains(it, kinds) for it in left + right)
-    return False
+    return isinstance(e, kinds) or any(_contains(it, kinds) for it in operands(e))
 
 
 def is_dc(e: Expr) -> bool:
@@ -142,13 +133,9 @@ def _outside_stars(e: Expr) -> set[str]:
     match e:
         case Symbol(name):
             return {name}
-        case Concat(items) | Disj(items):
-            return set().union(*map(_outside_stars, items))
-        case Hash(left, right):
-            return set().union(*map(_outside_stars, left + right))
-        case Opt(item):
-            return _outside_stars(item)
-    return set()
+        case Star(_) | Plus(_):
+            return set()
+    return set().union(*map(_outside_stars, operands(e)))
 
 
 def is_mrw(e: Expr) -> bool:

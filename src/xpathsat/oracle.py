@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
-from itertools import product
+from itertools import accumulate, product
 from math import inf, prod
 
 from . import content_model as cm
@@ -446,17 +446,20 @@ def _cut(t: DocTree, levels: int) -> tuple | str:
 
 
 def _splits(kids: list, total: int) -> Iterator[tuple[int, ...]]:
-    # node counts, one per child within its shape, adding up to total
-    if not kids:
-        if total == 0:
-            yield ()
-        return
-    rest = kids[1:]
-    least = max(kids[0][1], total - sum(k[2] for k in rest))
-    most = min(kids[0][2], total - sum(k[1] for k in rest))
-    for n in range(least, most + 1):
-        for tail in _splits(rest, total - n):
-            yield (n, *tail)
+    # node counts, one per child within its shape, adding up to total, in
+    # lexicographic order; a stack, not recursion, as a word may be very long
+    least = [0, *accumulate(k[1] for k in reversed(kids))]  # node bounds of the
+    most = [0, *accumulate(k[2] for k in reversed(kids))]   # last 0, 1, ... kids
+    todo = [((), total)]  # (counts of the first kids, nodes left for the rest)
+    while todo:
+        sizes, left = todo.pop()
+        rest = len(kids) - len(sizes)
+        if rest:
+            k = kids[-rest]
+            lo, hi = max(k[1], left - most[rest - 1]), min(k[2], left - least[rest - 1])
+            todo += (((*sizes, n), left - n) for n in range(hi, lo - 1, -1))
+        elif not left:
+            yield sizes
 
 
 def iter_trees(d: Dtd, depth: int, rep: int) -> Iterator[DocTree]:

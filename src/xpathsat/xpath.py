@@ -24,6 +24,9 @@ The lexer reads each well-formed step (axis, `::`, label) whole, in one
 match, so a run of unqualified steps parses without a token-by-token walk.
 A parsed query holds one `Step` object per distinct step: equal steps share
 it.  `normalize` returns its input, not a copy, when nothing in it splits.
+`operands` alone names a node's direct parts, which `size` and `features`
+visit; the printer and `normalize` take qualifiers as they take paths, and
+the printer refuses (ValueError) a connective that no text groups.
 Syntax only: `features` names the axes and node types a query uses, and
 `sat_checker.fragment_of` reads it to say which decider fits.
 """
@@ -250,11 +253,11 @@ _PREC_SEQ = 1
 _PREC_STEP = 2
 
 
-def render_xpath(p: Path, arrows: bool = False) -> str:
+def render_xpath(p: Path | Qexpr, arrows: bool = False) -> str:
     return _render(p, _PREC_UNION, arrows)
 
 
-def _render(p: Path, prec: int, arrows: bool) -> str:
+def _render(p: Path | Qexpr, prec: int, arrows: bool) -> str:
     match p:
         case Step(axis, label):
             name = ARROW[axis] if arrows else axis.value
@@ -266,103 +269,90 @@ def _render(p: Path, prec: int, arrows: bool) -> str:
             s = "|u|".join(_render(x, _PREC_SEQ, arrows) for x in items)
             return f"({s})" if prec > _PREC_UNION else s
         case Qual(base, quals):
-            qs = "".join(f"[{_render_q(q, arrows)}]" for q in quals)
+            qs = "".join(f"[{_render(q, _PREC_UNION, arrows)}]" for q in quals)
             return _render(base, _PREC_STEP, arrows) + qs
-    raise TypeError(f"not a path: {p!r}")
-
-
-def _render_q(q: Qexpr, arrows: bool) -> str:
-    match q:
         case QPath(path):
             return _render(path, _PREC_UNION, arrows)
-        case QAnd(items):
-            return " and ".join(_render_q(x, arrows) for x in items)
-        case QOr(items):
-            return " or ".join(_render_q(x, arrows) for x in items)
-    raise TypeError(f"not a qualifier: {q!r}")
+        case QAnd(items) | QOr(items):
+            # no text groups a connective that is not its parent's last operand
+            if any(isinstance(x, (QAnd, QOr)) for x in items[:-1]):
+                raise ValueError(f"no query text groups {p!r}")
+            word = " and " if type(p) is QAnd else " or "
+            return word.join(_render(x, _PREC_UNION, arrows) for x in items)
+    raise TypeError(f"not a query: {p!r}")
 
 
 # --- shape queries -----------------------------------------------------------
 
+def operands(p: Path | Qexpr) -> tuple[Path | Qexpr, ...]:
+    """p's direct parts, left to right; a qualified path's base comes first."""
+    match p:
+        case Seq(parts) | Union(parts) | QAnd(parts) | QOr(parts):
+            return parts
+        case Step(_, _):
+            return ()
+        case Qual(base, quals):
+            return (base, *quals)
+        case QPath(path):
+            return (path,)
+    raise TypeError(f"not a query: {p!r}")
+
+
 def size(p: Path | Qexpr) -> int:
     """Number of atomic steps, qualifiers included."""
-    match p:
-        case Step(_, _):
-            return 1
-        case Seq(parts) | Union(parts) | QAnd(parts) | QOr(parts):
-            return sum(size(x) for x in parts)
-        case Qual(base, quals):
-            return size(base) + sum(size(q) for q in quals)
-        case QPath(path):
-            return size(path)
-    raise TypeError(f"not a path: {p!r}")
+    return 1 if type(p) is Step else sum(map(size, operands(p)))
 
 
 def features(p: Path | Qexpr) -> tuple[set[Axis], set[type]]:
-    """The axes of p's steps and the node types in p, qualifiers included."""
+    """The axes of p's steps and the types of its other nodes, qualifiers included."""
     axes: set[Axis] = set()
     kinds: set[type] = set()
-    _collect(p, axes, kinds)
+    todo = [p]
+    while todo:
+        x = todo.pop()
+        if type(x) is Step:
+            axes.add(x.axis)
+            continue
+        kinds.add(type(x))
+        for y in operands(x):
+            if type(y) is Step:  # most parts are steps: read without a push
+                axes.add(y.axis)
+            else:
+                todo.append(y)
     return axes, kinds
-
-
-def _collect(p: Path | Qexpr, axes: set[Axis], kinds: set[type]) -> None:
-    kinds.add(type(p))
-    match p:
-        case Step(axis, _):
-            axes.add(axis)
-        case Seq(parts) | Union(parts) | QAnd(parts) | QOr(parts):
-            for x in parts:
-                if type(x) is Step:
-                    axes.add(x.axis)
-                else:
-                    _collect(x, axes, kinds)
-        case Qual(base, quals):
-            for x in (base, *quals):
-                _collect(x, axes, kinds)
-        case QPath(path):
-            _collect(path, axes, kinds)
 
 
 # --- qualifier normalization ---------------------------------------------------
 
-def normalize(p: Path) -> Path:
+def normalize(p: Path | Qexpr) -> Path | Qexpr:
     """Split qualifier conjunctions into stacked qualifiers: p[q and q'] becomes
     p[q][q'].  Disjunctions are kept (and normalized inside).  A node that
     nothing inside splits comes back as it is."""
     match p:
         case Step(_, _):
             return p
-        case Seq(parts) | Union(parts):
-            new = _normalized(parts, normalize)
+        case Seq(parts) | Union(parts) | QAnd(parts) | QOr(parts):
+            new = _normalized(parts)
             return p if new is parts else type(p)(new)
         case Qual(base, quals):
             split = tuple(x for q in quals for x in (q.items if isinstance(q, QAnd) else (q,)))
-            new_base, new_quals = normalize(base), _normalized(split, _normalize_q)
+            new_base, new_quals = normalize(base), _normalized(split)
             if new_base is base and len(split) == len(quals) and new_quals is split:
                 return p
             return Qual(new_base, new_quals)
-    raise TypeError(f"not a path: {p!r}")
-
-
-def _normalize_q(q: Qexpr) -> Qexpr:
-    match q:
         case QPath(path):
             new = normalize(path)
-            return q if new is path else QPath(new)
-        case QAnd(items) | QOr(items):
-            new = _normalized(items, _normalize_q)
-            return q if new is items else type(q)(new)
-    raise TypeError(f"not a qualifier: {q!r}")
+            return p if new is path else QPath(new)
+    raise TypeError(f"not a query: {p!r}")
 
 
-def _normalized(parts: tuple, norm) -> tuple:
-    """parts, each normalized by norm; parts itself when none changes.  A
-    step never changes, so it is passed over."""
+def _normalized(parts: tuple) -> tuple:
+    """parts, each normalized; parts itself when none changes.  A step never
+    changes, so it is passed over."""
     out = None
     for i, x in enumerate(parts):
         if type(x) is not Step:
-            y = norm(x)
+            y = normalize(x)
             if y is not x:
                 if out is None:
                     out = list(parts)

@@ -16,7 +16,9 @@
   and sibling arms that probe every place, the eagerly traced eval2
   verdict, the oracle's per-tree query interpreter with the search over
   it, the requirement-map algebra built on a checking dataclass entry,
-  and the eval1 walk that keyed requirements by label path.
+  the eval1 walk that keyed requirements by label path, and the syntax
+  walkers that named each node kind's parts themselves (label counts, the
+  class checks, query size, features and normalize).
 """
 
 from __future__ import annotations
@@ -33,11 +35,12 @@ from xpathsat.content_model import (
     LABEL_START, Concat, Cursor, Disj, Epsilon, Expr, Hash, Nfa, Opt, Plus, Star, Symbol,
     symbol_counts,
 )
-from xpathsat.dtd import Dtd
+from xpathsat.dtd import Dtd, _is_dc_qph_factor, is_dc_qph, top_factors
 from xpathsat.errors import ParseError, UnsupportedFragment
 from xpathsat.oracle import DocTree, NodePath, Word, iter_trees
 from xpathsat.sat_checker import (
-    Eval2Tuple, Level, Verdict, _accepting, _admissible, _row, eval2, render_state,
+    _EVAL1_AXES, _EVAL2_AXES, Eval2Tuple, Level, Verdict, _accepting, _admissible, _row, eval2,
+    render_state,
 )
 from xpathsat.schema_graph import SchemaGraph, SgNode, build_schema_graph
 from xpathsat.xpath import (
@@ -488,6 +491,158 @@ def reference_min_heights(d: Dtd) -> dict[str, int]:
                 h[lbl] = v
                 changed = True
     return {lbl: (int(v) if v != INF else -1) for lbl, v in h.items()}
+
+
+def reference_symbol_counts(e: Expr) -> dict[str, int]:
+    """`symbol_counts` as it was before `operands`: a recursive walk that
+    names each node kind's parts itself."""
+    counts: dict[str, int] = {}
+
+    def walk(x: Expr) -> None:
+        match x:
+            case Symbol(name):
+                counts[name] = counts.get(name, 0) + 1
+            case Concat(items) | Disj(items):
+                for it in items:
+                    walk(it)
+            case Star(item) | Opt(item) | Plus(item):
+                walk(item)
+            case Hash(left, right):
+                for it in left + right:
+                    walk(it)
+    walk(e)
+    return counts
+
+
+def reference_classify_model(e: Expr) -> dict[str, bool]:
+    """`classify_model` on the class checks' walkers as they were before
+    `operands`: the label counts above, and `_contains` and `_outside_stars`
+    naming each node kind's parts themselves."""
+
+    def contains(x: Expr, kinds: tuple[type, ...]) -> bool:
+        if isinstance(x, kinds):
+            return True
+        match x:
+            case Concat(items) | Disj(items):
+                return any(contains(it, kinds) for it in items)
+            case Star(item) | Opt(item) | Plus(item):
+                return contains(item, kinds)
+            case Hash(left, right):
+                return any(contains(it, kinds) for it in left + right)
+        return False
+
+    def outside_stars(x: Expr) -> set[str]:
+        match x:
+            case Symbol(name):
+                return {name}
+            case Concat(items) | Disj(items):
+                return set().union(*map(outside_stars, items))
+            case Hash(left, right):
+                return set().union(*map(outside_stars, left + right))
+            case Opt(item):
+                return outside_stars(item)
+        return set()
+
+    counts = reference_symbol_counts(e)
+    dc_qph, plain = is_dc_qph(e), not contains(e, (Opt, Plus, Hash))
+    rw = all(
+        _is_dc_qph_factor(f) or all(counts[s] == 1 for s in reference_symbol_counts(f))
+        for f in top_factors(e)
+    )
+    mrw = rw and all(counts[lbl] == 1 for lbl in outside_stars(e))
+    return {"df": all(n == 1 for n in counts.values()), "dc": dc_qph and plain,
+            "dc_qph": dc_qph, "rw": rw, "mrw": mrw, "mdf_dc": mrw and plain}
+
+
+def reference_size(p: Path | Qexpr) -> int:
+    """`size` as it was before `operands`."""
+    match p:
+        case Step(_, _):
+            return 1
+        case Seq(parts) | Union(parts) | QAnd(parts) | QOr(parts):
+            return sum(reference_size(x) for x in parts)
+        case Qual(base, quals):
+            return reference_size(base) + sum(reference_size(q) for q in quals)
+        case QPath(path):
+            return reference_size(path)
+    raise TypeError(f"not a path: {p!r}")
+
+
+def reference_features(p: Path | Qexpr) -> tuple[set[Axis], set[type]]:
+    """`features` as it was before `operands`: a recursive collection whose
+    node types hold `Step` where a step is p itself or a part of a qualified
+    path or a qualifier path."""
+    axes: set[Axis] = set()
+    kinds: set[type] = set()
+
+    def collect(x: Path | Qexpr) -> None:
+        kinds.add(type(x))
+        match x:
+            case Step(axis, _):
+                axes.add(axis)
+            case Seq(parts) | Union(parts) | QAnd(parts) | QOr(parts):
+                for y in parts:
+                    if type(y) is Step:
+                        axes.add(y.axis)
+                    else:
+                        collect(y)
+            case Qual(base, quals):
+                for y in (base, *quals):
+                    collect(y)
+            case QPath(path):
+                collect(path)
+    collect(p)
+    return axes, kinds
+
+
+def reference_fragment_of(p: Path) -> str:
+    """`fragment_of`'s rule on `reference_features`."""
+    axes, kinds = reference_features(p)
+    if not kinds & {Union, Qual} and axes <= _EVAL1_AXES:
+        return "eval1"
+    if not kinds & {Union, QOr} and axes <= _EVAL2_AXES:
+        return "eval2"
+    return "full"
+
+
+def reference_normalize(p: Path) -> Path:
+    """`normalize` as it was before it took qualifiers too: paths and
+    qualifiers each had their own function."""
+
+    def normalized(parts: tuple, norm) -> tuple:
+        out = None
+        for i, x in enumerate(parts):
+            if type(x) is not Step:
+                y = norm(x)
+                if y is not x:
+                    if out is None:
+                        out = list(parts)
+                    out[i] = y
+        return parts if out is None else tuple(out)
+
+    def norm_q(q: Qexpr) -> Qexpr:
+        match q:
+            case QPath(path):
+                new = reference_normalize(path)
+                return q if new is path else QPath(new)
+            case QAnd(items) | QOr(items):
+                new = normalized(items, norm_q)
+                return q if new is items else type(q)(new)
+        raise TypeError(f"not a qualifier: {q!r}")
+
+    match p:
+        case Step(_, _):
+            return p
+        case Seq(parts) | Union(parts):
+            new = normalized(parts, reference_normalize)
+            return p if new is parts else type(p)(new)
+        case Qual(base, quals):
+            split = tuple(x for q in quals for x in (q.items if isinstance(q, QAnd) else (q,)))
+            new_base, new_quals = reference_normalize(base), normalized(split, norm_q)
+            if new_base is base and len(split) == len(quals) and new_quals is split:
+                return p
+            return Qual(new_base, new_quals)
+    raise TypeError(f"not a path: {p!r}")
 
 
 def probing_child_arm(graph: SchemaGraph, label: str) -> tuple[Eval2Tuple, ...]:

@@ -17,14 +17,17 @@ from xpathsat import (
 )
 from xpathsat import build_schema_graph
 from xpathsat import dtd as dtd_module, oracle as oracle_module
-from xpathsat.content_model import concat_of, disj_of, symbols
+from xpathsat.content_model import concat_of, disj_of, operands, symbol_counts, symbols
 from xpathsat.dtd import min_heights
 
 from gens import (
     dense_dtd, random_content_model, random_mdf_dc_dtd, random_mrw_model,
     random_recursive_mdf_dc_dtd,
 )
-from support import reference_min_heights, subsequence_preserves
+from support import (
+    reference_classify_model, reference_min_heights, reference_symbol_counts,
+    subsequence_preserves,
+)
 
 F3 = "(a|b)*(c(a|b)*(d(a|b)*)?|d(a|b)*c(a|b)*)"
 
@@ -584,3 +587,30 @@ def test_pickles_and_copies_carry_only_the_declaration():
         assert other == d and set(vars(other)) == {"root", "rules", "order"}
         assert satisfiable(other, q).sat is sat
         assert render_tree(oracle_satisfiable(other, q, 3, 2)) == witness
+
+
+def test_class_walkers_match_their_earlier_forms():
+    rng = random.Random(27)
+    mrw = 0
+    for _ in range(2_000):
+        e = random_content_model(rng, depth=4)
+        # dc_convert reads a factor's labels in first-occurrence order
+        assert list(symbol_counts(e).items()) == list(reference_symbol_counts(e).items())
+        want = reference_classify_model(e)
+        assert classify_model(e) == want, render(e)
+        if want["mrw"]:
+            mrw += 1
+            d = delta(e)
+            assert classify_model(d) == reference_classify_model(d)
+            assert classify_model(d)["mdf_dc"], render(e)
+    assert mrw > 1_000, mrw
+
+
+def test_operands_name_a_models_parts_in_order():
+    a, b, c = Symbol("a"), Symbol("b"), Symbol("c")
+    assert operands(a) == operands(Epsilon()) == ()
+    assert operands(Concat((a, b))) == operands(Disj((a, b))) == (a, b)
+    assert operands(Star(a)) == operands(Opt(a)) == operands(Plus(a)) == (a,)
+    assert operands(Hash((a, b), (c,))) == (a, b, c)
+    with pytest.raises(TypeError):
+        operands("a")

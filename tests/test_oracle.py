@@ -18,6 +18,7 @@ from xpathsat.constraints import SibMap
 from xpathsat.dtd import Dtd
 from xpathsat.oracle import (
     DocTree,
+    _splits,
     conforms,
     eval_xpath_full,
     iter_trees,
@@ -974,3 +975,13 @@ def test_find_beta_witness():
     assert beta_satisfied(t, ok, d)
     bad = sibmap_of([(("r",), {"b", "c"}, (True,))])
     assert find_beta_witness(d, bad, depth=3, rep=2) is None
+
+
+def test_splits_of_a_wide_word_need_no_recursion():
+    # a shape is (trees, least nodes, most nodes, words); 2,000 one-node
+    # children split one way, at the default recursion limit
+    assert list(_splits([(1, 1, 1, [])] * 2_000, 2_000)) == [(1,) * 2_000]
+    # counts come in lexicographic order, each child within its bounds
+    kids = [(1, 1, 2, []), (1, 0, 2, []), (1, 1, 1, [])]
+    assert list(_splits(kids, 3)) == [(1, 1, 1), (2, 0, 1)]
+    assert list(_splits(kids, 7)) == [] and list(_splits([], 0)) == [()]

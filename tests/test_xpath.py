@@ -10,10 +10,15 @@ import pytest
 
 from xpathsat import ParseError, fragment_of, normalize, parse_xpath, render_xpath, size
 from xpathsat.content_model import LABEL_START
-from xpathsat.xpath import Axis, QAnd, QOr, QPath, Qual, Seq, Step, Union, _tokenize
+from xpathsat.xpath import (
+    Axis, QAnd, QOr, QPath, Qual, Seq, Step, Union, _tokenize, features, operands,
+)
 
 from gens import _flat, _qualified, random_full_query
-from support import reference_parse_xpath, reference_tokenize
+from support import (
+    reference_features, reference_fragment_of, reference_normalize, reference_parse_xpath,
+    reference_size, reference_tokenize,
+)
 
 
 # ------------------------------------------------------------------- parsing
@@ -227,6 +232,34 @@ def test_render_qualifier_chain():
     assert render_xpath(p, arrows=True) == "↓::a[↓::b and ←⁺::c or ↓::d]"
 
 
+def test_render_refuses_a_connective_no_text_groups():
+    x, y, z = (QPath(Step(Axis.CHILD, lbl)) for lbl in "xyz")
+    # `and` and `or` group to the right, so `x and y or z` is x and (y or z)
+    for q in [QOr((QAnd((x, y)), z)), QAnd((QOr((x, y)), z))]:
+        with pytest.raises(ValueError):
+            render_xpath(Qual(Step(Axis.CHILD, "a"), (q,)))
+    # a connective as the last operand is what the text means
+    p = Qual(Step(Axis.CHILD, "a"), (QOr((z, QAnd((x, y)))),))
+    assert render_xpath(p, arrows=True) == "↓::a[↓::z or ↓::x and ↓::y]"
+    assert parse_xpath(render_xpath(p)) == p
+
+
+def test_rendered_queries_read_back_or_are_refused():
+    rng = random.Random(27)
+    refused = 0
+    for _ in range(2_000):
+        p = random_full_query(rng, ["a", "r", "x.1-b"], depth=3)
+        for arrows in (False, True):
+            try:
+                text = render_xpath(p, arrows)
+            except ValueError:
+                refused += 1
+                continue
+            assert parse_xpath(text) == p, text
+    # 43 draws nest a connective before the last operand of another
+    assert refused == 2 * 43
+
+
 _labels = st.sampled_from(["a", "b", "c", "r"])
 _axes = st.sampled_from(list(Axis))
 
@@ -284,6 +317,32 @@ def test_size_counts_steps_and_qualifiers():
     assert size(parse_xpath("↓::r/→⁺::b[↓::a]")) == 3
     assert size(parse_xpath("↓::a ∪ ↓::b")) == 2
     assert size(parse_xpath("↓::a[↓::b and ↓::c or ↓::d]")) == 4
+
+
+def test_walkers_match_their_earlier_forms():
+    rng = random.Random(27)
+    for _ in range(2_000):
+        p = random_full_query(rng, ["a", "r", "x.1-b"], depth=3)
+        for x in (p, QPath(p)):
+            assert size(x) == reference_size(x)
+            assert features(x)[0] == reference_features(x)[0]
+            # no caller reads whether Step itself is a node type
+            assert features(x)[1] == reference_features(x)[1] - {Step}
+        assert fragment_of(p) == reference_fragment_of(p)
+        want = reference_normalize(p)
+        assert normalize(p) == want
+        assert (normalize(p) is p) == (want is p)
+
+
+def test_operands_name_a_nodes_parts_in_order():
+    a, b = Step(Axis.CHILD, "a"), Step(Axis.FSIB, "b")
+    q = QPath(b)
+    assert operands(a) == ()
+    assert operands(Seq((a, b))) == operands(Union((a, b))) == (a, b)
+    assert operands(Qual(a, (q, QAnd((q, q))))) == (a, q, QAnd((q, q)))
+    assert operands(q) == (b,)
+    with pytest.raises(TypeError):
+        operands("↓::a")
 
 
 # ----------------------------------------------------------------- fragments
