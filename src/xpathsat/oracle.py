@@ -16,15 +16,15 @@ space assumes the instance's rules are not mutated.
 A search compiles its query once, into closures over parent-linked nodes
 that never walk down from the root again, and tests per node count the
 objects `_plan` picks, in an order where the first passing one names the
-first matching tree.  What a downward-only query (`↓` and `↓*` steps only,
-within qualifiers too) selects below a node depends on that node's subtree
-alone, and the trees of a space share their subtree objects, so its answer
-is kept per object, and one whose first step is `↓::l` or `↓*::l` tests
-each count's distinct root-child objects (`_Space.kids`) in the order of
-the first tree holding each.  When l is the root's label, `↓*::l` tests
-the roots alone: a passing l node below a root roots a smaller tree of the
-space, which comes earlier.  Any other query reads no node below a level
-its syntax names (`_deepest`; a `↓*` reads every level), so it runs on the
+first matching tree.  A path that reads no level above its start node
+(`_deepest`) selects by that node's subtree alone, which the trees of a
+space share as objects, so its answer is kept per object; and a query led
+by `↓::l` or `↓*::l` whose rest stays in that step's node's subtree tests
+each distinct root-child object once per search, at its first tree
+(`_Space.kids`).  When l is the root's label, `↓*::l` tests the roots
+alone: a passing l node below a root roots a smaller tree of the space,
+which comes earlier.  Any other query reads no node below a level its
+syntax names (`_deepest`; a `↓*` reads every level), so it runs on the
 first tree of each class of a count's trees that agree down to that level.
 Each way the witness is the tree a scan of every tree would find.
 """
@@ -42,7 +42,7 @@ from .content_model import (
 )
 from .dtd import Dtd, min_heights
 from .errors import ParseError
-from .xpath import Axis, Path, QAnd, QOr, QPath, Qexpr, Qual, Seq, Step, Union, features
+from .xpath import Axis, Path, QAnd, QOr, QPath, Qexpr, Qual, Seq, Step, Union
 
 Word = tuple[str, ...]
 NodePath = tuple[int, ...]  # child indices from the root; () is the root
@@ -55,9 +55,20 @@ class DocTree:
 
 
 def render_tree(t: DocTree) -> str:
-    if not t.children:
-        return t.label
-    return f"{t.label}({','.join(render_tree(c) for c in t.children)})"
+    # a stack of (node, index of its next child), not recursion, as a tree
+    # may be very deep
+    parts, todo = [t.label], [(t, 0)]
+    while todo:
+        v, i = todo.pop()
+        if i < len(v.children):
+            todo.append((v, i + 1))
+            c = v.children[i]
+            parts.append(("," if i else "(") + c.label)
+            if c.children:
+                todo.append((c, 0))
+        elif i:
+            parts.append(")")
+    return "".join(parts)
 
 
 # labels in tree terms are whole tokens: children are always
@@ -107,8 +118,8 @@ def conforms(t: DocTree, d: Dtd) -> bool:
 # `(path, node, parent context)`: child and sibling steps read the parent's
 # children, parent and ancestor steps follow the parent link, so no step
 # walks down from the root.  A set of nodes is a dict keyed by NodePath.
-# A downward-only path never reads above its context node, so it runs with
-# that node's subtree as the root, and `_subtree_test` keeps its answer per
+# A path that never reads above its context node (`_deepest`) runs with that
+# node's subtree as the root, and `_subtree_test` keeps its answer per
 # subtree object: a subtree shared by several positions or trees is read
 # once.
 
@@ -156,28 +167,25 @@ def _filter(f: Callable, tests: list[Callable]) -> Callable:
 
 
 def _compile_qual(q: Qexpr) -> Callable[[Ctx], bool]:
-    # a test of a context node; a downward-only path is tested once per
-    # subtree object
+    # a test of a context node; a path that stays inside the node's subtree
+    # is tested once per subtree object
     match q:
-        case QPath(path) if _downward(path):
+        case QPath(path) if _deepest(path)[1] >= 0:
             test = _subtree_test(_compile(path))
             return lambda c: test(c[1])
         case QPath(path):
             f = _compile(path)
             return lambda c: bool(f({c[0]: c}))
-        case QAnd(items):
-            tests = [_compile_qual(x) for x in items]
-            return lambda c: all(q(c) for q in tests)
-        case QOr(items):
-            tests = [_compile_qual(x) for x in items]
-            return lambda c: any(q(c) for q in tests)
+        case QAnd(items) | QOr(items):
+            tests, join = [_compile_qual(x) for x in items], all if isinstance(q, QAnd) else any
+            return lambda c: join(t(c) for t in tests)
     raise TypeError(f"not a qualifier: {q!r}")
 
 
 def _subtree_test(f: Callable[[Nodes], Nodes]) -> Callable[[DocTree], bool]:
-    # whether f, a compiled downward-only path, selects a node from v when
-    # run with v as the root, kept per subtree object; an entry holds its
-    # subtree, so no other takes its id
+    # whether f, a compiled path that stays inside its start's subtree,
+    # selects a node from v when run with v as the root, kept per subtree
+    # object; an entry holds its subtree, so no other takes its id
     seen: dict[int, tuple[DocTree, bool]] = {}
 
     def test(v: DocTree) -> bool:
@@ -186,11 +194,6 @@ def _subtree_test(f: Callable[[Nodes], Nodes]) -> Callable[[DocTree], bool]:
             got = seen[id(v)] = v, bool(f({(): ((), v, None)}))
         return got[1]
     return test
-
-
-def _downward(p: Path | Qexpr) -> bool:
-    # every step of p, within qualifiers, unions and connectives too, is ↓ or ↓*
-    return features(p)[0] <= {Axis.CHILD, Axis.DESC_OR_SELF}
 
 
 def _compile_step(axis: Axis, label: str) -> Callable[[Nodes], Nodes]:
@@ -251,31 +254,39 @@ def _compile_step(axis: Axis, label: str) -> Callable[[Nodes], Nodes]:
     return step
 
 
-def _deepest(p: Path | Qexpr, level: float = 0) -> tuple[float, float]:
-    # (the deepest level p reads from context nodes no deeper than `level`,
-    # the deepest level it can end on); the root is level 0 and any `↓*`
-    # reads every level
+def _deepest(p: Path | Qexpr, top: float = 0, bottom: float = 0) -> tuple[float, ...]:
+    # (the deepest and the shallowest level p reads, and the shallowest and
+    # deepest it can end on) from context nodes at levels top to bottom; the
+    # start node is level 0, and p stays inside its subtree when it reads no
+    # level above.  `↓*` may end at any level below, `↑*` reads every one above
     match p:
         case Step(axis, _):
             if axis is Axis.CHILD:
-                return level + 1, level + 1
+                return bottom + 1, top, top + 1, bottom + 1
             if axis is Axis.DESC_OR_SELF:
-                return inf, inf
-            return level, level - 1 if axis is Axis.PARENT else level
+                return inf, top, top, inf
+            if axis is Axis.PARENT:
+                return bottom, top - 1, top - 1, bottom - 1
+            if axis is Axis.ANC_OR_SELF:
+                return bottom, -inf, -inf, bottom
+            return bottom, top - 1, top, bottom  # a sibling step reads the parent's children
         case Seq(steps):
-            deepest = level
+            deep, shallow = bottom, top
             for x in steps:
-                seen, level = _deepest(x, level)
-                deepest = max(deepest, seen)
-            return deepest, level
+                d, s, top, bottom = _deepest(x, top, bottom)
+                deep, shallow = max(deep, d), min(shallow, s)
+            return deep, shallow, top, bottom
         case Union(items) | QAnd(items) | QOr(items):
-            reach = [_deepest(x, level) for x in items]
-            return max(r[0] for r in reach), max(r[1] for r in reach)
+            deep, shallow, tops, bottoms = zip(*(_deepest(x, top, bottom) for x in items))
+            return max(deep), min(shallow), min(tops), max(bottoms)
         case Qual(base, quals):
-            deepest, level = _deepest(base, level)
-            return max(deepest, *(_deepest(q, level)[0] for q in quals)), level
+            deep, shallow, top, bottom = _deepest(base, top, bottom)
+            for q in quals:
+                d, s, _, _ = _deepest(q, top, bottom)
+                deep, shallow = max(deep, d), min(shallow, s)
+            return deep, shallow, top, bottom
         case QPath(path):
-            return _deepest(path, level)
+            return _deepest(path, top, bottom)
     raise TypeError(f"not a query: {p!r}")
 
 
@@ -341,7 +352,8 @@ class _Space:
         self.root, self.depth = d.root, depth
         self.built: dict[int, tuple[DocTree, ...]] = {}  # node count -> root trees
         self.firsts: dict[tuple[int, int], tuple[DocTree, ...]] = {}  # (count, level) -> classes
-        self.roots: dict[int, dict] = {}  # count -> label or None -> id -> (position, child)
+        # count -> (ids of the root children up to it, label or None -> id -> (position, child))
+        self.roots: dict[int, tuple[frozenset[int], dict]] = {}
         self.forget()
         count, lo, hi, _ = self.shape(d.root, depth)
         self.counts = range(lo, hi + 1) if count else range(0)
@@ -379,23 +391,30 @@ class _Space:
         return got
 
     def kids(self, size: int, label: str | None) -> Iterable[tuple[int, DocTree]]:
-        # (the stream position of the first tree that holds it, v) for each
-        # distinct child object v labeled `label` (any label for None) of a
-        # count's root trees, in that order; one pass indexes every label,
-        # and, as with `classes`, a racing build keeps an equal index
-        got = self.roots.get(size)
-        if got is None:
-            got = {None: {}}
-            for i, t in enumerate(self.trees(size)):
-                for v in t.children:
-                    if id(v) not in got[None]:
-                        got[None][id(v)] = got.setdefault(v.label, {})[id(v)] = i, v
-            self.roots[size] = got
-        return got.get(label, {}).values()
+        # (position of its first holder among the count's trees, v), in that
+        # order, for each child object v labeled `label` (any label for None)
+        # of the count's root trees that no smaller count's tree holds, so a
+        # scan of the counts meets each object once, at its first holder.  One
+        # pass indexes every label; an index is a pure function of the trees
+        # up to its count, so a build racing another one keeps an equal index
+        if size not in self.roots:
+            held: frozenset[int] = frozenset()
+            for n in range(self.counts.start, size + 1):
+                got = self.roots.get(n)
+                if got is None:
+                    new: dict = {None: {}}
+                    for i, t in enumerate(self.trees(n)):
+                        for v in t.children:
+                            if id(v) not in held and id(v) not in new[None]:
+                                new[None][id(v)] = new.setdefault(v.label, {})[id(v)] = i, v
+                    got = self.roots[n] = held.union(new[None]), new
+                held = got[0]
+        return self.roots[size][1].get(label, {}).values()
 
     def shape(self, label: str, budget: int) -> tuple[int, float, int, list]:
         # tree count, least and greatest node count, and the words that root
-        # some tree, each with its rank offset and its children's shapes
+        # some tree, each with its rank offset, its children's shapes and its
+        # trees' least and greatest node count
         got = self.shapes.get((label, budget))
         if got is not None:
             return got
@@ -410,10 +429,10 @@ class _Space:
                     continue
                 kids = [self.shape(lbl, budget - 1) for lbl in word]
                 if n := prod(k[0] for k in kids):
-                    live.append((word, total, kids))
+                    least, most = 1 + sum(k[1] for k in kids), 1 + sum(k[2] for k in kids)
+                    live.append((word, total, kids, least, most))
                     total += n
-                    lo = min(lo, 1 + sum(k[1] for k in kids))
-                    hi = max(hi, 1 + sum(k[2] for k in kids))
+                    lo, hi = min(lo, least), max(hi, most)
         got = self.shapes[label, budget] = total, lo, hi, live
         return got
 
@@ -421,7 +440,9 @@ class _Space:
         # (preorder labels, rank among all trees of label and budget, tree);
         # the rank is the tree's mixed-radix position in word-then-product order
         tables = self.tables
-        for word, offset, kids in self.shape(label, budget)[3]:
+        for word, offset, kids, least, most in self.shape(label, budget)[3]:
+            if not least <= size <= most:
+                continue
             radices = [k[0] for k in kids]
             for sizes in _splits(kids, size - 1):
                 parts = []
@@ -491,12 +512,14 @@ def _space(d: Dtd, depth: int, rep: int) -> _Space:
 def oracle_satisfiable(d: Dtd, p: Path, depth: int, rep: int) -> DocTree | None:
     """First conforming tree (smallest first: node count, then preorder
     labels) matching p; the search stops there.  None when the bounded
-    search is exhausted, which means unknown, not unsatisfiable.  Per node
-    count, a downward-only query whose first step is `↓::l`, or `↓*::l` for
-    an l other than the root's label, tests the distinct root-child objects;
-    one led by `↓*::l` for the root's label, the trees; and any other query,
-    the first tree of each class of trees that agree down to the deepest
-    level it reads."""
+    search is exhausted, which means unknown, not unsatisfiable.  A query
+    whose first step is `↓::l`, or `↓*::l` for an l other than the root's
+    label, and whose rest never reads above the node that step selects,
+    tests each distinct root-child object once per search, at the node
+    count of the first tree holding it; one led by `↓*::l` for the root's
+    label tests the trees; and any other query, per node count, the first
+    tree of each class of trees that agree down to the deepest level it
+    reads."""
     space = _space(d, depth, rep)
     scan, test = _plan(p, d.root)
     for size in space.counts:
@@ -512,13 +535,15 @@ def _plan(p: Path, root: str) -> tuple[Callable, Callable[[DocTree], bool]]:
     # among them, object) pairs to test in order; and the test of an object
     first, *rest = p.steps if isinstance(p, Seq) else (p,)
     base, quals = (first.base, first.quals) if isinstance(first, Qual) else (first, ())
-    if not isinstance(base, Step) or not _downward(p):
+    # whether the first step's qualifiers and later steps stay in its node's subtree
+    inside = min(_deepest(x)[1] for x in (*quals, Seq(tuple(rest)))) >= 0
+    if not (isinstance(base, Step) and base.axis in (Axis.CHILD, Axis.DESC_OR_SELF) and inside):
         level = _deepest(p)[0]
         return lambda space, n: _each(space.classes(n, level)), _decider(p)
     # whether a node passes the first step's qualifiers and the steps after
     # it select a node from it, kept per subtree object
-    parts = [_filter(lambda nodes: nodes, [_compile_qual(q) for q in quals]), *map(_compile, rest)]
-    test = _subtree_test(_chain(parts))
+    parts = [_filter(lambda nodes: nodes, [_compile_qual(q) for q in quals])] if quals else []
+    test = _subtree_test(_chain([*parts, *map(_compile, rest)]))
     if base.axis is Axis.CHILD:
         return lambda space, n: (space.trees(n), space.kids(n, base.label)), test
     if base.label == root:

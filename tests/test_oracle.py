@@ -29,9 +29,9 @@ from xpathsat.oracle import (
     satisfies,
     words_capped,
 )
-from xpathsat.xpath import Axis, Seq, Step, render_xpath
+from xpathsat.xpath import Axis, QPath, Qual, Seq, Step, features, render_xpath
 
-from gens import random_full_query, random_mdf_dc_dtd, tree_count
+from gens import random_doc_walk, random_full_query, random_mdf_dc_dtd, tree_count
 from support import (
     beta_satisfied,
     compute_sg_mappings,
@@ -63,6 +63,18 @@ def test_tree_term_round_trip():
     assert [c.label for c in t.children] == ["r", "a", "a", "b"]
     assert node_count(t) == 7
     assert preorder_labels(t) == ("r", "r", "c", "a", "a", "b", "a")
+
+
+def test_a_deep_tree_renders_without_recursion():
+    chain = DocTree("r")
+    for _ in range(3000):
+        chain = DocTree("r", (chain,))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # the interpreter's default
+    try:
+        assert render_tree(chain) == "r(" * 3000 + "r" + ")" * 3000
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_tree_term_single_node():
@@ -443,7 +455,7 @@ def test_downward_searches_answer_what_the_former_search_answered():
         for bound in range(depth, 0, -1):
             for _ in range(25 if bound == depth else 12):
                 q = random_full_query(rng, d.labels, axes=DOWN)
-                assert oracle._downward(q)
+                assert oracle._deepest(q)[1] >= 0
                 got = oracle_satisfiable(d, q, bound, rep)
                 want = reference_search(d, q, bound, rep)
                 assert got is want, (bound, render_xpath(q, arrows=True))
@@ -452,6 +464,58 @@ def test_downward_searches_answer_what_the_former_search_answered():
     found = [a for a in answers if a is not None]
     assert len(found) > 150 and len(answers) - len(found) > 350
     assert len(set(found)) > 15 and whole > 450
+
+
+def test_doc_walk_searches_answer_what_the_former_search_answered(monkeypatch):
+    # walks of the trees of each DTD, with child, parent and sibling steps,
+    # some with a `↓*` step that repeats the label before it, half with one
+    # label changed and the rest, where the label allows, with a qualifier
+    # that walks below its anchor, sideways too, at every depth
+    # bound; a stated share has a step other than `↓` and `↓*` and is yet
+    # searched over root-child objects, sorting no tree into classes
+    rng = random.Random(2829)
+    classed, real = [0], oracle._Space.classes
+
+    def classes(space, size, level):
+        classed[0] += 1
+        return real(space, size, level)
+
+    monkeypatch.setattr(oracle._Space, "classes", classes)
+    answers, widened, sideways = [], 0, 0
+    for d, depth, rep in _differential_dtds():
+        trees = [t for t in iter_trees(d, depth, rep) if t.children]
+        inner = {}  # label -> distinct subtree objects with a child
+        for t in trees:
+            stack = [t]
+            while stack:
+                v = stack.pop()
+                if v.children:
+                    inner.setdefault(v.label, {})[id(v)] = v
+                    stack.extend(v.children)
+        for bound in range(depth, 0, -1):
+            for _ in range(25 if bound == depth else 12):
+                q = random_doc_walk(rng, rng.choice(trees), 6)
+                steps = list(q.steps) if isinstance(q, Seq) else [q]
+                if rng.random() < 0.3:  # selects the node before it again, among others
+                    j = rng.randrange(len(steps))
+                    steps.insert(j + 1, Step(Axis.DESC_OR_SELF, steps[j].label))
+                i = rng.randrange(len(steps))
+                if rng.random() < 0.5:
+                    steps[i] = Step(steps[i].axis, rng.choice(sorted(d.labels)))
+                elif steps[i].label in inner:
+                    anchor = rng.choice(list(inner[steps[i].label].values()))
+                    steps[i] = Qual(steps[i], (QPath(random_doc_walk(rng, anchor, 4)),))
+                q = Seq(tuple(steps)) if len(steps) > 1 else steps[0]
+                sideways += isinstance(steps[i], Qual) and bool(
+                    features(steps[i].quals[0])[0] & {Axis.FSIB, Axis.PSIB})
+                classed[0] = 0
+                got = oracle_satisfiable(d, q, bound, rep)
+                assert got is reference_search(d, q, bound, rep), (bound, render_xpath(q, arrows=True))
+                answers.append(None if got is None else render_tree(got))
+                widened += not classed[0] and not features(q)[0] <= set(DOWN)
+    found = [a for a in answers if a is not None]
+    assert len(found) > 220 and len(answers) - len(found) > 220 and len(set(found)) > 50
+    assert widened > len(answers) // 6 and sideways > 30
 
 
 def test_a_downward_search_runs_the_rest_once_per_subtree(monkeypatch):
@@ -478,13 +542,13 @@ def test_a_downward_search_runs_the_rest_once_per_subtree(monkeypatch):
 
 
 def test_a_downward_qualifier_runs_once_per_subtree(monkeypatch):
-    # in a query that is not downward-only, a downward-only qualifier runs
-    # once per subtree object it is asked about over the whole search, not
-    # once per (tree, node) pair
+    # in a query whose rest reads above its first node, a qualifier that
+    # stays inside its anchor's subtree runs once per subtree object it is
+    # asked about over the whole search, not once per (tree, node) pair
     d = parse_dtd("root r\nr := b*a?\nb := d?a?\nd := a?\na := x?\nx := eps\n")
     q = parse_xpath("↓::b[↓::d/↓::a]/→⁺::b/↓::a")
     qual = q.steps[0].quals[0].path
-    assert not oracle._downward(q) and oracle._downward(qual)
+    assert oracle._deepest(Seq(q.steps[1:]))[1] < 0 and oracle._deepest(qual)[1] >= 0
     assert oracle._deepest(q)[0] == 3  # reads the whole depth: every tree runs
     _, runs = _count_runs(monkeypatch, qual)
     got = oracle_satisfiable(d, q, depth=4, rep=2)
@@ -502,26 +566,37 @@ def test_long_downward_queries_still_answer():
     # a 1,500-step chain and a 1,500-qualifier stack take the memoized
     # route without one call per step or per qualifier
     d = worked()
-    assert oracle._downward(parse_xpath("↓::r" + "[↓::c]" * 1500))
+    assert oracle._deepest(parse_xpath("↓::r" + "[↓::c]" * 1500))[1] >= 0
     assert oracle_satisfiable(d, parse_xpath("/".join(["↓::r"] * 1500)), depth=3, rep=2) is None
     w = oracle_satisfiable(d, parse_xpath("/".join(["↓*::r"] * 1500)), depth=3, rep=2)
     assert render_tree(w) == "r(c)"
     w = oracle_satisfiable(d, parse_xpath("↓::r" + "[↓::c]" * 1500), depth=3, rep=2)
     assert render_tree(w) == "r(c,r(c))"
+    # so does a 1,501-step chain whose `↑` steps stay inside the first node
+    q = parse_xpath("↓::r" + "/↓::c/↑::r" * 750)
+    assert oracle._deepest(Seq(q.steps[1:]))[1] == 0
+    assert render_tree(oracle_satisfiable(d, q, depth=3, rep=2)) == "r(c,r(c))"
 
 
-@pytest.mark.parametrize("query, down", [
+@pytest.mark.parametrize("query, inside", [
     ("↓::a/↓*::b", True),
     ("↓::a[↓::b or ↓*::c] ∪ ↓::d", True),
     ("↓::a[↓::b[↓::c and ↓::d]]", True),
-    ("↓::a[↓::b or →⁺::c]", False),
-    ("↓::a[↓::b[↑::a]]", False),
+    ("↓::a[↓::b or →⁺::c]", True),        # the sibling step reads level 0
+    ("↓::a[↓::b[↑::a]]", True),
+    ("↓::a/←⁺::b", True),
+    ("↓::b/↓::e/↑::a", True),
+    ("↓::a/↑::r", True),                  # ends on the start node itself
+    ("↓::a[↓::b or →⁺::c]/↑::r/→⁺::d", False),
     ("↓::a ∪ ↑*::b", False),
-    ("↓::a/←⁺::b", False),
+    ("↓::a/↓::b/↑*::c", False),           # ↑* reads every level above
+    ("↓*::a/↑::b", False),                # ↓* may stay on the start node
+    ("→⁺::a", False),
+    ("↓::a[↑::r/↑::s]", False),
     ("↑::a", False),
 ])
-def test_downward_only_queries(query, down):
-    assert oracle._downward(parse_xpath(query)) is down
+def test_queries_that_stay_inside_their_start_subtree(query, inside):
+    assert (oracle._deepest(parse_xpath(query))[1] >= 0) is inside
 
 
 def test_top_level_unions_and_qualified_sequences_answer_as_before():
@@ -535,7 +610,7 @@ def test_top_level_unions_and_qualified_sequences_answer_as_before():
         "(↓::b/↓::d ∪ ↓::b/↓::a)[↓::a or ↓*::x]",
     ]:
         q = parse_xpath(query)
-        assert oracle._downward(q) and not isinstance(q, Seq)
+        assert oracle._deepest(q)[1] >= 0 and not isinstance(q, Seq)
         for depth in (3, 4, 5):
             got = oracle_satisfiable(d, q, depth, 2)
             assert got is reference_search(d, q, depth, 2), (query, depth)
@@ -548,7 +623,7 @@ def test_top_level_unions_and_qualified_sequences_answer_as_before():
         "(↓::b[↓::a] ∪ ↓::a)[↓::x]/↓::x", "(↓::b/↓::d)[↓::a]/↓::a/↓::x",
     ]:
         q = parse_xpath(query)
-        assert oracle._downward(q) and isinstance(q, Seq) and not isinstance(q.steps[0], Step)
+        assert oracle._deepest(q)[1] >= 0 and isinstance(q, Seq) and not isinstance(q.steps[0], Step)
         for depth in (3, 4, 5):
             got = oracle_satisfiable(d, q, depth, 2)
             assert got is reference_search(d, q, depth, 2), (query, depth)
@@ -603,13 +678,19 @@ def test_root_child_searches_return_the_reference_witness(dtd, query, depth, wan
 
 
 def test_the_root_child_index_keeps_each_object_with_its_first_tree():
+    # each object is listed once, under the count of its first holder in the
+    # whole stream, with that holder's position among the count's trees
     d = parse_dtd(SIBS)
     space = oracle._space(d, 4, 2)
+    held, shared = set(), 0
     for n, trees in _by_count(d, 4, 2).items():
         for label in (None, "b", "c", "q"):
-            want = _first_trees(trees, label)
+            want = [(i, v) for i, v in _first_trees(trees, label) if id(v) not in held]
             got = list(space.kids(n, label))
             assert [(i, id(v)) for i, v in got] == [(i, id(v)) for i, v in want]
+        shared += sum(id(v) in held for _, v in _first_trees(trees, None))
+        held |= {id(v) for _, v in _first_trees(trees, None)}
+    assert shared > 10
 
 
 def test_a_child_first_witness_is_the_first_tree_holding_a_passing_child():
@@ -661,6 +742,82 @@ def test_a_second_child_first_search_reads_only_the_kept_index(monkeypatch):
     monkeypatch.setattr(oracle, "_chain", counted)
     assert oracle_satisfiable(d, parse_xpath("↓::s/↓::a/↓::s"), 4, 3) is None
     assert 0 < runs[0] <= bound
+
+
+def _scanned(monkeypatch):
+    """Records every object `_Space.kids` yields to a search."""
+    yielded, real = [], oracle._Space.kids
+
+    def kids(space, size, label):
+        got = list(real(space, size, label))
+        yielded.extend(v for _, v in got)
+        return got
+
+    monkeypatch.setattr(oracle._Space, "kids", kids)
+    return yielded
+
+
+def test_a_child_first_search_tests_each_root_child_once(monkeypatch):
+    # the scan of a whole-space UNSAT chain yields each distinct `s` child of
+    # a root once, not once per node count that holds it, and the chain's
+    # rest runs once per such object
+    d = parse_dtd("root r\nr := s*a?\ns := s?a?\na := eps\n")
+    yielded = _scanned(monkeypatch)
+    runs, real = [0], oracle._chain
+
+    def counted(parts):
+        f = real(parts)
+
+        def run(nodes):
+            runs[0] += 1
+            return f(nodes)
+        return run
+
+    monkeypatch.setattr(oracle, "_chain", counted)
+    assert oracle_satisfiable(d, parse_xpath("↓::s/↓::s/↓::s/↓::a"), 4, 3) is None
+    counts = _by_count(d, 4, 3)
+    distinct = {id(v) for trees in counts.values() for _, v in _first_trees(trees, "s")}
+    per_count = sum(len(_first_trees(trees, "s")) for trees in counts.values())
+    assert len({id(v) for v in yielded}) == len(yielded) == len(distinct) == runs[0]
+    assert len(distinct) * 2 < per_count
+
+
+@pytest.mark.parametrize("query, want", [
+    ("↓::s/↓::s/↑::r", None),                   # an s child's parent is an s
+    ("↓::s/↓::s/↑::s", "r(s(s))"),
+    ("↓::s[↓::s/→⁺::a]/↓::a/↑::s", "r(s(s,a))"),
+    ("↓::s/↓::a/←⁺::s/↓::s", "r(s(s(s),a))"),
+    ("↓*::s/↓::s/↑::r", None),
+])
+def test_a_search_whose_rest_stays_below_its_first_node_tests_root_children(monkeypatch, query, want):
+    # the rest reads no level above the node the first step selects, so the
+    # search tests root-child objects and sorts no tree into classes
+    d, q = parse_dtd("root r\nr := s*a?\ns := s?a?\na := eps\n"), parse_xpath(query)
+    yielded = _scanned(monkeypatch)
+
+    def no_classes(*args):
+        raise AssertionError("the class route ran")
+
+    monkeypatch.setattr(oracle._Space, "classes", no_classes)
+    got = oracle_satisfiable(d, q, 4, 2)
+    assert yielded and got is reference_search(d, q, 4, 2)
+    assert (None if got is None else render_tree(got)) == want
+
+
+def test_building_a_space_splits_only_words_that_reach_the_count(monkeypatch):
+    # r's 301 words each hold one node count, so a count splits one word
+    # rather than every word of r
+    calls, real = [0], oracle._splits
+
+    def counted(kids, total):
+        calls[0] += 1
+        return real(kids, total)
+
+    monkeypatch.setattr(oracle, "_splits", counted)
+    d = parse_dtd("root r\nr := a*\na := eps\n")
+    assert oracle_satisfiable(d, parse_xpath("↓::q"), 2, 300) is None
+    counts = oracle._space(d, 2, 300).counts
+    assert len(counts) == 301 and calls[0] <= 2 * len(counts)
 
 
 def test_a_deep_descendant_search_still_answers():
