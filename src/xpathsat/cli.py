@@ -9,12 +9,14 @@ equivalent / success), 1 negative or unknown answer, 2 malformed input, 3
 DTD outside the supported class, 4 query outside both decision procedures,
 5 internal error (a fault of the program, never an answer), 6 a failed
 write of the output.  All output is deterministic for fixed inputs.
+
+Start-up is most of a one-shot call, so a command imports only what it
+runs: `oracle` loads the oracle and `--json` loads `json` when used.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path as FsPath
@@ -22,7 +24,6 @@ from typing import Optional, Sequence
 
 from . import content_model as cm
 from . import dtd as dtdmod
-from . import oracle as orc
 from .errors import DtdError, NotMRW, ParseError, UnsupportedFragment
 from .sat_checker import _traced_verdict, compile_dtd, satisfiable
 from .xpath import parse_xpath, size
@@ -78,6 +79,7 @@ def _cmd_sat(args) -> Result:
 def _cmd_oracle(args) -> Result:
     if args.depth < 1 or (args.rep is not None and args.rep < 1):
         raise ParseError("search bounds must be at least 1")
+    from . import oracle as orc  # only this command searches
     d = _load_dtd(args)
     p = parse_xpath(args.xpath)
     rep = args.rep if args.rep is not None else max(2, size(p))
@@ -191,6 +193,7 @@ def main(argv=None) -> int:
         code, obj, lines = args.func(args)
         # flushed, so that a failed write fails here and not at exit
         if args.json:
+            import json
             print(json.dumps(obj, ensure_ascii=False, sort_keys=True, indent=2), flush=True)
         else:
             print(*lines, sep="\n", flush=True)

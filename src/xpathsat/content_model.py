@@ -17,10 +17,10 @@ from __future__ import annotations
 import re
 from collections import deque
 from collections.abc import Callable
-from dataclasses import dataclass
 from typing import Optional, TypeVar
 
 from .errors import ParseError
+from .record import Record
 
 Word = tuple[str, ...]
 T = TypeVar("T")
@@ -28,51 +28,43 @@ T = TypeVar("T")
 
 # --- AST -------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
-class Epsilon:
+class Epsilon(Record):
     """The empty word."""
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Symbol:
-    name: str
+class Symbol(Record):
+    __slots__ = __match_args__ = ("name",)
 
 
-@dataclass(frozen=True, slots=True)
-class Concat:
-    items: tuple["Expr", ...]  # always >= 2 items, none Epsilon, none Concat
+class Concat(Record):
+    __slots__ = __match_args__ = ("items",)  # always >= 2 items, none Epsilon, none Concat
 
 
-@dataclass(frozen=True, slots=True)
-class Disj:
-    items: tuple["Expr", ...]  # always >= 2 items, none Disj
+class Disj(Record):
+    __slots__ = __match_args__ = ("items",)  # always >= 2 items, none Disj
 
 
-@dataclass(frozen=True, slots=True)
-class Star:
-    item: "Expr"
+class Star(Record):
+    __slots__ = __match_args__ = ("item",)
 
 
-@dataclass(frozen=True, slots=True)
-class Opt:
-    item: "Expr"
+class Opt(Record):
+    __slots__ = __match_args__ = ("item",)
 
 
-@dataclass(frozen=True, slots=True)
-class Plus:
-    item: "Expr"
+class Plus(Record):
+    __slots__ = __match_args__ = ("item",)
 
 
-@dataclass(frozen=True, slots=True)
-class Hash:
+class Hash(Record):
     """Either-or-both over two operand tuples.
 
     Operands are single items (a parenthesized group contributes its
     top-level concatenation items as separate operands).
     """
 
-    left: tuple["Expr", ...]   # >= 1 operand
-    right: tuple["Expr", ...]  # >= 1 operand
+    __slots__ = __match_args__ = ("left", "right")  # >= 1 operand each
 
 
 Expr = Epsilon | Symbol | Concat | Disj | Star | Opt | Plus | Hash

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import re
 from collections.abc import Callable, Container, Iterable
-from dataclasses import dataclass, field
 from functools import cached_property
 
 from . import content_model as cm
@@ -36,19 +35,16 @@ from .content_model import (
     concat_of, operands, parse_content_model, render, symbol_counts,
 )
 from .errors import DtdError, NotMRW, ParseError
+from .record import Record
 
 
-@dataclass(frozen=True)
-class Dtd:
-    root: str
-    rules: dict[str, Expr]          # insertion order = declaration order
-    order: tuple[str, ...] = field(default=())
+class Dtd(Record):
+    __match_args__ = ("root", "rules", "order")  # rules: in declaration order
 
-    def __post_init__(self):
-        if not self.order:
-            object.__setattr__(self, "order", tuple(self.rules))
-        if self.root not in self.rules:
-            raise DtdError(f"root {self.root!r} has no rule")
+    def __init__(self, root: str, rules: dict[str, Expr], order: tuple[str, ...] = ()):
+        if root not in rules:
+            raise DtdError(f"root {root!r} has no rule")
+        vars(self).update(root=root, rules=rules, order=order or tuple(rules))
 
     def model(self, label: str) -> Expr:
         return self.rules[label]

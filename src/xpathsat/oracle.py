@@ -32,7 +32,6 @@ Each way the witness is the tree a scan of every tree would find.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator
-from dataclasses import dataclass
 from itertools import accumulate, product
 from math import inf, prod
 
@@ -42,16 +41,19 @@ from .content_model import (
 )
 from .dtd import Dtd, min_heights
 from .errors import ParseError
+from .record import Record, _set
 from .xpath import Axis, Path, QAnd, QOr, QPath, Qexpr, Qual, Seq, Step, Union
 
 Word = tuple[str, ...]
 NodePath = tuple[int, ...]  # child indices from the root; () is the root
 
 
-@dataclass(frozen=True, slots=True)
-class DocTree:
-    label: str
-    children: tuple["DocTree", ...] = ()
+class DocTree(Record):
+    __slots__ = __match_args__ = ("label", "children")
+
+    def __init__(self, label: str, children: tuple[DocTree, ...] = ()):
+        _set(self, "label", label)
+        _set(self, "children", children)
 
 
 def render_tree(t: DocTree) -> str:

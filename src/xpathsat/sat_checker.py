@@ -33,7 +33,6 @@ r(b,r(b),r(c)) match them."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import AbstractSet, NamedTuple, Optional
 
 from .constraints import (
@@ -41,6 +40,7 @@ from .constraints import (
 )
 from .dtd import Dtd, delta_dtd, validate_no_useless
 from .errors import UnsupportedFragment
+from .record import Record, _set
 from .schema_graph import SchemaGraph, SgNode, build_schema_graph
 from .xpath import (
     ARROW, Axis, Path, QOr, QPath, Qual, Seq, Step, Union,
@@ -50,18 +50,20 @@ from .xpath import (
 
 # --- eval1 -------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
-class Level:
-    label: str
-    nodes: tuple[SgNode, ...]   # same label, same parent label, index order
-    dfs: bool                   # True iff a single place that is dfs
+class Level(Record):
+    # nodes: one label and parent label, index order; dfs: one place, a dfs one
+    __slots__ = __match_args__ = ("label", "nodes", "dfs")
+
+    def __init__(self, label: str, nodes: tuple[SgNode, ...], dfs: bool):
+        _set(self, "label", label)
+        _set(self, "nodes", nodes)
+        _set(self, "dfs", dfs)
 
 
 _RENDERED = ("final_state", "reason", "trace")
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Record):
     """A decision and how it was reached.  One from `satisfiable` holds its
     graph and normalized query in place of trace, final_state and reason
     until one of them is read, then renders all three by one traced re-run.
@@ -71,15 +73,13 @@ class Verdict:
     the map's label-path keys together grow with the square of the query's
     length.  A copy or pickle holds them built."""
 
-    sat: bool
-    algorithm: str
-    final_state: Optional[str]  # eval1 renders it only on traced runs
-    reason: Optional[str]
-    trace: tuple[str, ...]
-    # default factories leave no class attribute, so a deferred field
-    # missing from the instance reaches __getattr__
-    levels: Optional[tuple[Level, ...]] = field(default_factory=lambda: None)  # eval1, on SAT
-    beta: Optional[SibMap] = field(default_factory=lambda: None)               # eval1, on SAT
+    # no field is a class attribute: a deferred one reaches __getattr__
+    __match_args__ = ("sat", "algorithm", "final_state", "reason", "trace", "levels", "beta")
+    __reduce__ = object.__reduce__  # pickled by state, so deferred fields stay so
+
+    def __init__(self, sat, algorithm, final_state, reason, trace, levels=None, beta=None):
+        vars(self).update(sat=sat, algorithm=algorithm, final_state=final_state,
+                          reason=reason, trace=trace, levels=levels, beta=beta)
 
     def __getattr__(self, name: str):
         # reached only for a field missing from the instance: a deferred one

@@ -18,23 +18,18 @@ every node whose parent label equals its own label.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .content_model import (
     Concat, Disj, Epsilon, Expr, Star, Symbol, concat_of, render, symbol_counts,
 )
 from .dtd import Dtd, NotMRW, is_mdf_dc, is_mrw, top_factors
 from .errors import DtdError
+from .record import Record
 
 
-@dataclass(frozen=True, slots=True)
-class DcFactor:
-    pos: int                      # 1-based position in the converted model
-    body: Expr                    # Symbol or Star subexpression
-    omega: str                    # "-" or "*"
-    labels: tuple[str, ...]       # first-occurrence order within the body
-    df_labels: frozenset[str]
-    dfs_labels: frozenset[str]
+class DcFactor(Record):
+    # pos: 1-based position in the converted model; body: the Symbol or Star
+    # factor; omega: "-" or "*"; labels: first-occurrence order in the body
+    __slots__ = __match_args__ = ("pos", "body", "omega", "labels", "df_labels", "dfs_labels")
 
 
 def dc_convert(e: Expr) -> tuple[DcFactor, ...]:
@@ -71,16 +66,11 @@ def _strip_disj(e: Expr) -> Expr:
     raise DtdError(f"model is not MDF/DC: {render(e)}")
 
 
-@dataclass(frozen=True, slots=True)
-class SgNode:
-    name: str                 # u0, u1, ... in construction order
-    index: int
-    parent_label: str | None  # None only for the virtual node above the root
-    pos: int
-    omega: str
-    label: str
-    is_df: bool
-    is_dfs: bool
+class SgNode(Record):
+    # name: u0, u1, ... in construction order; parent_label: None only for
+    # the virtual node above the root
+    __slots__ = __match_args__ = (
+        "name", "index", "parent_label", "pos", "omega", "label", "is_df", "is_dfs")
 
     def __str__(self) -> str:
         return self.name

@@ -35,10 +35,10 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass
 
 from . import content_model as cm
 from .errors import ParseError
+from .record import Record, _set
 
 
 class Axis(enum.Enum):
@@ -74,44 +74,61 @@ ARROW = {
 }
 
 
-@dataclass(frozen=True, slots=True)
-class Step:
-    axis: Axis
-    label: str
+class Step(Record):
+    __slots__ = __match_args__ = ("axis", "label")
+
+    def __init__(self, axis: Axis, label: str):
+        _set(self, "axis", axis)
+        _set(self, "label", label)
+
+    # compared and hashed field by field, cheaper than through `Record`
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.axis == other.axis and self.label == other.label
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.axis, self.label))
 
 
-@dataclass(frozen=True, slots=True)
-class Seq:
-    steps: tuple["Path", ...]  # always >= 2 items, none Seq
+class Seq(Record):
+    __slots__ = __match_args__ = ("steps",)  # always >= 2 items, none Seq
+
+    def __init__(self, steps: tuple[Path, ...]):
+        _set(self, "steps", steps)
 
 
-@dataclass(frozen=True, slots=True)
-class Union:
-    items: tuple["Path", ...]  # always >= 2 items, none Union
+class Union(Record):
+    __slots__ = __match_args__ = ("items",)  # always >= 2 items, none Union
 
 
-@dataclass(frozen=True, slots=True)
-class QPath:
-    path: "Path"
+class QPath(Record):
+    __slots__ = __match_args__ = ("path",)
+
+    def __init__(self, path: Path):
+        _set(self, "path", path)
 
 
-@dataclass(frozen=True, slots=True)
-class QAnd:
-    items: tuple["Qexpr", ...]  # always >= 2 items, none QAnd
+class QAnd(Record):
+    __slots__ = __match_args__ = ("items",)  # always >= 2 items, none QAnd
+
+    def __init__(self, items: tuple[Qexpr, ...]):
+        _set(self, "items", items)
 
 
-@dataclass(frozen=True, slots=True)
-class QOr:
-    items: tuple["Qexpr", ...]  # always >= 2 items, none QOr
+class QOr(Record):
+    __slots__ = __match_args__ = ("items",)  # always >= 2 items, none QOr
 
 
 Qexpr = QPath | QAnd | QOr
 
 
-@dataclass(frozen=True, slots=True)
-class Qual:
-    base: "Path"               # never a Qual
-    quals: tuple[Qexpr, ...]   # innermost first, at least one
+class Qual(Record):
+    __slots__ = __match_args__ = ("base", "quals")  # base no Qual; quals innermost first
+
+    def __init__(self, base: Path, quals: tuple[Qexpr, ...]):
+        _set(self, "base", base)
+        _set(self, "quals", quals)
 
 
 Path = Step | Seq | Union | Qual

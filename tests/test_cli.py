@@ -8,11 +8,14 @@ import io
 import json
 import os
 import pathlib
+import re
 import shlex
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from xpathsat import cli, sat_checker
 from xpathsat import load_dtd, parse_content_model, parse_dtd
@@ -394,6 +397,93 @@ def test_oracle_depth_too_deep_is_an_input_error(tmp_path, depth, query):
         sys.setrecursionlimit(limit)
     assert (code, out) == (2, "")
     assert err == f"error: depth bound {depth} is too deep to search\n"
+
+
+# ------------------------------------------------------------ crash sweep
+
+_LABEL = st.sampled_from("rabc")
+
+
+def _model(leaves: list[str]):
+    return st.recursive(
+        st.sampled_from(leaves),
+        lambda inner: st.one_of(
+            st.tuples(inner, st.sampled_from("*+?")).map("".join),
+            st.lists(inner, min_size=2, max_size=3).map(lambda xs: "(" + ",".join(xs) + ")"),
+            st.lists(inner, min_size=2, max_size=3).map(lambda xs: "(" + "|".join(xs) + ")"),
+            st.tuples(inner, inner).map("({0[0]})#({0[1]})".format),
+        ),
+        max_leaves=5,
+    )
+
+
+def _declared(models: tuple[str, ...]) -> str:
+    # the rules of r and of every label r's rules reach, so that a DTD
+    # fails mostly on its models and not on unreachable labels
+    rules, todo = {}, ["r"]
+    while todo:
+        lbl = todo.pop()
+        if lbl not in rules:
+            rules[lbl] = models["rabc".index(lbl)]
+            todo += re.findall(r"eps|([rabc])", rules[lbl])
+            todo = [t for t in todo if t]
+    return "root r\n" + "".join(f"{lbl} := {m}\n" for lbl, m in rules.items())
+
+
+def _edited(text: str, at: int, char: str) -> str:
+    at %= len(text) + 1
+    return text[:at] + char + text[at + 1:]
+
+
+def _mostly(usable, *broken):
+    """`usable` three times in four, else one of `broken`."""
+    return st.integers(0, 3).flatmap(lambda i: usable if i else st.one_of(*broken))
+
+
+# a label's model names later labels, and r again only under a star, so
+# these DTDs are usable; one edited character, rules of chosen labels, and
+# noise test the checks
+_USABLE = st.tuples(*(_model(["eps", "r*", *"rabc"[i + 1:]]) for i in range(4))).map(_declared)
+_DTD_TEXT = _mostly(
+    _USABLE,
+    st.builds(_edited, _USABLE, st.integers(0, 60), st.sampled_from("r()|,*?#=:\n ")),
+    st.tuples(_LABEL, st.lists(st.tuples(_LABEL, _model(["eps", *"rabc"])), min_size=1, max_size=4)).map(
+        lambda t: f"root {t[0]}\n" + "".join(f"{lbl} := {m}\n" for lbl, m in t[1])),
+    st.text("root rabc:=|*?+#(),eps\n", max_size=30),
+)
+_AXIS = st.sampled_from(["↓", "↑", "↓*", "↑*", "→⁺", "←⁺", "child", "parent", "fsib", "psib"])
+_PATH = st.recursive(
+    st.builds("{}::{}".format, _AXIS, _LABEL),
+    lambda inner: st.one_of(
+        st.lists(inner, min_size=2, max_size=3).map("/".join),
+        st.tuples(inner, inner).map("({0[0]} ∪ {0[1]})".format),
+        st.tuples(inner, inner).map("{0[0]}[{0[1]}]".format),
+        st.tuples(inner, inner, st.sampled_from(["and", "or"]), inner).map(
+            "{0[0]}[{0[1]} {0[2]} {0[3]}]".format),
+    ),
+    max_leaves=5,
+)
+_QUERY = _mostly(
+    _PATH,
+    st.builds(_edited, _PATH, st.integers(0, 40), st.sampled_from("↓/[]()∪: ")),
+    st.text("↓↑*→←⁺:/[]()∪ rabc", max_size=15),
+)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(dtd=_DTD_TEXT, query=_QUERY, depth=st.integers(1, 3), rep=st.integers(1, 2))
+def test_no_input_crashes_the_cli(dtd, query, depth, rep):
+    # exit 5 is a fault of the program, and exit 1 means only the negative
+    # answer, printed as such
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "sweep.dtd")
+        with open(path, "w", encoding="utf-8") as f:
+            f.write(dtd)
+        bounds = ["--depth", str(depth), "--rep", str(rep)]
+        for argv, negative in ((["sat"], "UNSAT\n"), (["oracle", *bounds], "UNKNOWN\n")):
+            code, out, err = run([*argv, "--dtd", path, "--xpath", query])
+            assert 0 <= code <= 4, err
+            assert code != 1 or out == negative
 
 
 # ---------------------------------------------------------------------- equiv

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import ast
 import pathlib
+import subprocess
+import sys
 import types
 
 import xpathsat
@@ -18,6 +20,58 @@ def test_star_import_exports_no_submodules():
     assert len(set(xpathsat.__all__)) == len(xpathsat.__all__)
     for name in ("satisfiable", "eval2", "SibMap", "Dtd", "parse_xpath", "oracle_satisfiable"):
         assert name in ns
+
+
+def _modules_after(code: str) -> set[str]:
+    """The modules a fresh interpreter holds after running `code`, with the
+    package on its path and no `site` (whose imports vary by environment)."""
+    src = str(pathlib.Path(xpathsat.__file__).parent.parent)
+    code = f"import sys; sys.path.insert(0, {src!r})\n{code}\nprint(repr(sorted(sys.modules)))"
+    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True)
+    return set(ast.literal_eval(out.stdout.splitlines()[-1]))
+
+
+def test_a_bare_import_loads_no_submodule():
+    loaded = _modules_after("import xpathsat")
+    assert "xpathsat" in loaded
+    assert not [m for m in loaded if m.startswith("xpathsat.")]
+    loaded = _modules_after("import xpathsat\nxpathsat.parse_xpath")
+    assert sorted(m for m in loaded if m.startswith("xpathsat.")) == [
+        "xpathsat.content_model", "xpathsat.errors", "xpathsat.record", "xpathsat.xpath"]
+
+
+def test_a_one_shot_sat_loads_only_what_it_runs(tmp_path):
+    # start-up is most of a one-shot verdict, so `sat` stays clear of the
+    # oracle, of JSON output and of `dataclasses` (which pulls in `inspect`)
+    dtd = tmp_path / "worked.dtd"
+    dtd.write_text("root r\nr := r*(a*b|c)r*\na := eps\nb := a\nc := eps\n")
+    loaded = _modules_after(
+        "from xpathsat import cli\n"
+        f"assert cli.main(['sat', '--dtd', {str(dtd)!r}, '--xpath', '↓::r/→⁺::b/↓::a/↑::b']) == 0"
+    )
+    assert "xpathsat.sat_checker" in loaded
+    assert not loaded & {"dataclasses", "inspect", "json", "xpathsat.oracle"}
+    # the other commands load what they need on first use
+    loaded = _modules_after(
+        "from xpathsat import cli\n"
+        f"assert cli.main(['oracle', '--json', '--dtd', {str(dtd)!r}, '--xpath', '↓::r']) == 0"
+    )
+    assert {"json", "xpathsat.oracle"} <= loaded
+
+
+def test_names_resolve_on_first_use():
+    assert set(dir(xpathsat)) >= set(xpathsat.__all__)
+    for name in xpathsat.__all__:
+        value = getattr(xpathsat, name)
+        assert vars(xpathsat)[name] is value  # kept for the next read
+        homes = [m for key, m in sys.modules.items() if key.startswith("xpathsat.")]
+        assert any(vars(m).get(name) is value for m in homes)
+    try:
+        xpathsat.no_such_name
+    except AttributeError as exc:
+        assert "no_such_name" in str(exc)
+    else:
+        raise AssertionError("an unknown name resolved")
 
 
 def test_modules_use_every_name_they_import():
