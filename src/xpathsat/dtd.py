@@ -58,21 +58,9 @@ class Dtd(Record):
         """Every rule prepared for `coverable`, once per instance."""
         return {lbl: Cover(e) for lbl, e in self.rules.items()}
 
-    @cached_property
-    def nfas(self) -> dict[str, cm.Nfa]:
-        """Every rule as the automaton `oracle.conforms` runs, once per
-        instance."""
-        return {lbl: cm.Nfa(e) for lbl, e in self.rules.items()}
-
-    @cached_property
-    def tree_space(self) -> dict:
-        """The oracle's bounded tree space for the last `(depth, rep)` asked
-        of this instance, keyed by that bound; `oracle.iter_trees` fills and
-        replaces it."""
-        return {}
-
     def __reduce__(self):
-        # a pickle or copy carries the declaration, never the caches above
+        # a pickle or copy carries the declaration, never what the instance
+        # keeps: `covers`, and what other modules keep in its `vars`
         return Dtd, (self.root, self.rules, self.order)
 
 

@@ -8,10 +8,11 @@ bound.  They come smallest first, by node count and then preorder labels,
 and the search stops at the first witness.  A found witness is definitive;
 exhaustion of the bound is reported as unknown, never as unsatisfiable.
 
-The tree space is kept on the `Dtd` instance for the last bound asked of
-it, so a later search replays the same stream.  Each node count's trees are
-built when a search first reaches that count; like `Dtd.covers`, the kept
-space assumes the instance's rules are not mutated.
+The module keeps its own state on the `Dtd` instance, in its `vars` under
+private keys: the automata `conforms` runs, and the tree space for the last
+bound asked of it, so a later search replays the same stream.  Each node
+count's trees are built when a search first reaches that count; like
+`Dtd.covers`, the kept state assumes the instance's rules are not mutated.
 
 A search compiles its query once, into closures over parent-linked nodes
 that never walk down from the root again, and tests per node count the
@@ -21,12 +22,13 @@ first matching tree.  A path that reads no level above its start node
 space share as objects, so its answer is kept per object; and a query led
 by `↓::l` or `↓*::l` whose rest stays in that step's node's subtree tests
 each distinct root-child object once per search, at its first tree
-(`_Space.kids`).  When l is the root's label, `↓*::l` tests the roots
-alone: a passing l node below a root roots a smaller tree of the space,
-which comes earlier.  Any other query reads no node below a level its
-syntax names (`_deepest`; a `↓*` reads every level), so it runs on the
-first tree of each class of a count's trees that agree down to that level.
-Each way the witness is the tree a scan of every tree would find.
+(`_Space.kids`).  Any other query reads no node below a level its syntax
+names (`_deepest`; a `↓*` reads every level), so it runs on the first tree
+of each class of a count's trees that agree down to that level.  So does
+the rest of a `↓*::l` first step when l is the root's label, tested at the
+root alone: a passing l node below a root roots a smaller tree of the
+space, which comes earlier.  Each way the witness is the tree a scan of
+every tree would find.
 """
 
 from __future__ import annotations
@@ -103,7 +105,10 @@ def _term(cur: cm.Cursor) -> DocTree:
 def conforms(t: DocTree, d: Dtd) -> bool:
     if t.label != d.root:
         return False
-    nfas, stack = d.nfas, [t]
+    nfas = vars(d).get("_nfas")
+    if nfas is None:
+        nfas = vars(d)["_nfas"] = {lbl: cm.Nfa(e) for lbl, e in d.rules.items()}
+    stack = [t]
     while stack:
         v = stack.pop()
         word = tuple(c.label for c in v.children)
@@ -492,22 +497,21 @@ def iter_trees(d: Dtd, depth: int, rep: int) -> Iterator[DocTree]:
     their children word among the sorted words, then by their children's own
     positions in that order.
 
-    The space is kept on the `Dtd` instance (`Dtd.tree_space`) for the last
-    bound asked of it, and a later call replays it.  A node count's trees
-    are built when an iterator first reaches that count, so a caller that
-    stops early leaves the larger trees unbuilt, and the next one resumes
-    there.  Like `Dtd.covers`, the space assumes `d.rules` is not mutated."""
+    The space is kept on the `Dtd` instance for the last bound asked of it,
+    and a later call replays it.  A node count's trees are built when an
+    iterator first reaches that count, so a caller that stops early leaves
+    the larger trees unbuilt, and the next one resumes there.  Like
+    `Dtd.covers`, the space assumes `d.rules` is not mutated."""
     space = _space(d, depth, rep)
     for size in space.counts:
         yield from space.trees(size)
 
 
 def _space(d: Dtd, depth: int, rep: int) -> _Space:
-    kept = d.tree_space
-    space = kept.get((depth, rep))
-    if space is None:
-        kept.clear()
-        space = kept[depth, rep] = _Space(d, depth, rep)
+    # the one space kept on d, replaced when the bound differs
+    space = vars(d).get("_tree_space")
+    if space is None or (space.depth, space.rep) != (depth, rep):
+        space = vars(d)["_tree_space"] = _Space(d, depth, rep)
     return space
 
 
@@ -518,10 +522,10 @@ def oracle_satisfiable(d: Dtd, p: Path, depth: int, rep: int) -> DocTree | None:
     whose first step is `↓::l`, or `↓*::l` for an l other than the root's
     label, and whose rest never reads above the node that step selects,
     tests each distinct root-child object once per search, at the node
-    count of the first tree holding it; one led by `↓*::l` for the root's
-    label tests the trees; and any other query, per node count, the first
-    tree of each class of trees that agree down to the deepest level it
-    reads."""
+    count of the first tree holding it.  Every other search tests, per node
+    count, the first tree of each class of trees that agree down to a
+    level: the deepest the query reads, or for `↓*::l` with l the root's
+    label, the deepest its rest reads, tested at the root."""
     space = _space(d, depth, rep)
     scan, test = _plan(p, d.root)
     for size in space.counts:
@@ -537,8 +541,10 @@ def _plan(p: Path, root: str) -> tuple[Callable, Callable[[DocTree], bool]]:
     # among them, object) pairs to test in order; and the test of an object
     first, *rest = p.steps if isinstance(p, Seq) else (p,)
     base, quals = (first.base, first.quals) if isinstance(first, Qual) else (first, ())
-    # whether the first step's qualifiers and later steps stay in its node's subtree
-    inside = min(_deepest(x)[1] for x in (*quals, Seq(tuple(rest)))) >= 0
+    # the deepest and shallowest levels the first step's qualifiers and later
+    # steps read from its node: they stay in its subtree when none is above
+    reads = [_deepest(x) for x in (*quals, Seq(tuple(rest)))]
+    level, inside = max(r[0] for r in reads), min(r[1] for r in reads) >= 0
     if not (isinstance(base, Step) and base.axis in (Axis.CHILD, Axis.DESC_OR_SELF) and inside):
         level = _deepest(p)[0]
         return lambda space, n: _each(space.classes(n, level)), _decider(p)
@@ -550,8 +556,9 @@ def _plan(p: Path, root: str) -> tuple[Callable, Callable[[DocTree], bool]]:
         return lambda space, n: (space.trees(n), space.kids(n, base.label)), test
     if base.label == root:
         # a passing l node below a root roots a smaller tree of the space,
-        # which comes earlier and passes at its root
-        return lambda space, n: _each(space.trees(n)), test
+        # which comes earlier and passes at its root; and two roots that
+        # agree down to level pass alike
+        return lambda space, n: _each(space.classes(n, level)), test
     below = _subtree_test(_filter(_compile(base), [lambda c: test(c[1])]))
     return lambda space, n: (space.trees(n), space.kids(n, None)), below
 

@@ -90,12 +90,9 @@ class SchemaGraph:
                     f"model of {lbl!r} is MRW but not MDF/DC; normalize it first"
                 )
         self.dtd = d
-        self.factors: dict[str, tuple[DcFactor, ...]] = {
-            lbl: dc_convert(d.model(lbl)) for lbl in d.labels
-        }
         nodes: list[SgNode] = [SgNode("u0", 0, None, 1, "-", d.root, True, True)]
         for lbl in d.labels:
-            for f in self.factors[lbl]:
+            for f in dc_convert(d.model(lbl)):
                 for sym in f.labels:
                     nodes.append(SgNode(
                         name=f"u{len(nodes)}", index=len(nodes),

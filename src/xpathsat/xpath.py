@@ -81,15 +81,6 @@ class Step(Record):
         _set(self, "axis", axis)
         _set(self, "label", label)
 
-    # compared and hashed field by field, cheaper than through `Record`
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.axis == other.axis and self.label == other.label
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.axis, self.label))
-
 
 class Seq(Record):
     __slots__ = __match_args__ = ("steps",)  # always >= 2 items, none Seq

@@ -42,7 +42,7 @@ from xpathsat.sat_checker import (
     _EVAL1_AXES, _EVAL2_AXES, Eval2Tuple, Level, Verdict, _accepting, _admissible, _row, eval2,
     render_state,
 )
-from xpathsat.schema_graph import SchemaGraph, SgNode, build_schema_graph
+from xpathsat.schema_graph import SchemaGraph, SgNode, build_schema_graph, dc_convert
 from xpathsat.xpath import (
     _ALIASES, _AXIS_BY_NAME, _CONNECTIVES, ARROW, Axis, Path, QAnd, QOr, QPath, Qexpr, Qual,
     Seq, Step, Union, render_xpath,
@@ -181,7 +181,7 @@ def compute_sg_mappings(t: DocTree, d: Dtd) -> list[dict[NodePath, SgNode]]:
     }
 
     def node_assignments(label: str, word: Word) -> list[tuple[int, ...]]:
-        factors = graph.factors[label]
+        factors = dc_convert(graph.dtd.model(label))
         out: list[tuple[int, ...]] = []
 
         def go(i: int, fi: int, acc: tuple[int, ...]) -> None:

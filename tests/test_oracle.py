@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 import re
 import sys
@@ -802,6 +804,126 @@ def test_a_search_whose_rest_stays_below_its_first_node_tests_root_children(monk
     got = oracle_satisfiable(d, q, 4, 2)
     assert yielded and got is reference_search(d, q, 4, 2)
     assert (None if got is None else render_tree(got)) == want
+
+
+# ------------------------------------------------------- root-label searches
+
+ROOTED = "root r\nr := s*a?\ns := s?a?\na := eps\n"
+
+
+def _cut_classes(trees, level):
+    """How many classes of `trees` agree on their labels down to `level`."""
+    def cut(t, k):
+        return t.label if not k else (t.label, *(cut(c, k - 1) for c in t.children))
+    return len({cut(t, level) for t in trees})
+
+
+# (dtd, query, the deepest level its qualifiers and rest read, bounds);
+# each qualifier is a single step, so `_chain` builds only the rest's chain
+ROOT_LABEL_SEARCHES = [
+    (WORKED, "↓*::r/↓::b/↓::a", 2, [(3, 2), (3, 3)]),
+    (WORKED, "↓*::r[↓::c]/↓::c", 1, [(3, 2), (3, 3)]),
+    (WORKED, "↓*::r/↓::q", 1, [(3, 2), (3, 3)]),
+    (WORKED, "↓*::r/↓::b/↑::r/↓::c", 1, [(3, 2), (3, 3)]),        # ↑ back to the first node
+    (WORKED, "↓*::r/↓::c/↑::r/↓::b", 1, [(3, 2), (3, 3)]),        # c and b never share a parent
+    (WORKED, "↓*::r/↓::a/→⁺::b/↓::a", 2, [(3, 2), (3, 3)]),
+    (WORKED, "↓*::r[↓::b and ↓::r]/↓::c/→⁺::a", 1, [(3, 3)]),      # an a never follows a c
+    (SIBS, "↓*::r/↓::b/↓::d/↓::a/↓::x", 4, [(4, 2), (5, 2)]),
+    (SIBS, "↓*::r[↓::e]/↓::b/↓::a/↑::b/↓::d", 2, [(3, 2), (4, 2), (5, 2)]),
+    (SIBS, "↓*::r/↓::b/←⁺::f", 1, [(3, 2), (4, 2)]),
+    (SIBS, "↓*::r/↓::b/→⁺::c", 1, [(3, 2), (4, 2), (5, 2)]),       # c only comes first
+    (SIBS, "↓*::r[↓::c]/↓::b/↓::d/↓::q", 3, [(4, 2), (5, 2)]),
+    (ROOTED, "↓*::r/↓::q", 1, [(4, 3), (5, 2)]),
+    (ROOTED, "↓*::r[↓::a]/↓::s/↓::q", 2, [(4, 3), (5, 2)]),
+    (ROOTED, "↓*::r[↓::a]/↓::s/↓::s/↓::a", 3, [(4, 2), (5, 2)]),
+    (ROOTED, "↓*::r/↓::s/↓::a/←⁺::s/↓::s", 3, [(4, 2), (4, 3), (5, 2)]),
+    (ROOTED, "↓*::r/↓::a/→⁺::s", 1, [(3, 2), (4, 3)]),            # a comes after the s children
+    (ROOTED, "↓*::r/↓::s/↑::r/↓::a", 1, [(3, 2), (4, 3)]),
+]
+
+
+def test_root_label_searches_run_the_rest_once_per_level_cut_class(monkeypatch):
+    # a `↓*::l` first step with l the root's label is tested at the root,
+    # on the first tree of each class of a count's trees that agree down to
+    # the deepest level its qualifiers and rest read
+    runs, real = [0], oracle._chain
+
+    def counted(parts):
+        f = real(parts)
+
+        def run(nodes):
+            runs[0] += 1
+            return f(nodes)
+        return run
+
+    monkeypatch.setattr(oracle, "_chain", counted)
+    answers, classes, scanned = [], 0, 0
+    for dtd, query, level, bounds in ROOT_LABEL_SEARCHES:
+        q = parse_xpath(query)
+        quals = q.steps[0].quals if isinstance(q.steps[0], Qual) else ()
+        reads = [oracle._deepest(x) for x in (*quals, Seq(q.steps[1:]))]
+        assert max(r[0] for r in reads) == level and min(r[1] for r in reads) >= 0, query
+        for depth, rep in bounds:
+            d = parse_dtd(dtd)
+            runs[0] = 0
+            got = oracle_satisfiable(d, q, depth, rep)
+            assert got is reference_search(d, q, depth, rep), (query, depth, rep)
+            answers.append(None if got is None else render_tree(got))
+            counts = _by_count(d, depth, rep)
+            upto = [n for n in counts if got is None or n <= node_count(got)]
+            bound = sum(_cut_classes(counts[n], level) for n in upto)
+            assert 0 < runs[0] <= bound, (query, depth, rep)
+            classes += bound
+            scanned += sum(len(counts[n]) for n in upto)
+    found = [a for a in answers if a is not None]
+    assert len(found) > 12 and len(answers) - len(found) > 12
+    assert classes * 3 < scanned
+
+
+def test_root_label_searches_answer_what_the_former_search_answered():
+    # `↓*::r` before a random walk from the root, which stays inside the
+    # root's subtree, as the rest or as a qualifier, one label sometimes
+    # changed so that the walk may fail
+    rng = random.Random(4242)
+    answers = []
+    for dtd, bounds in [(WORKED, [(3, 2)]), (SIBS, [(4, 2), (5, 2)]), (ROOTED, [(4, 2), (5, 2)])]:
+        d = parse_dtd(dtd)
+        for depth, rep in bounds:
+            trees = [t for t in iter_trees(d, depth, rep) if t.children]
+            for _ in range(30):
+                walk = random_doc_walk(rng, rng.choice(trees), 6)
+                steps = list(walk.steps) if isinstance(walk, Seq) else [walk]
+                if rng.random() < 0.5:
+                    i = rng.randrange(len(steps))
+                    steps[i] = Step(steps[i].axis, rng.choice(sorted(d.labels)))
+                rest = Seq(tuple(steps)) if len(steps) > 1 else steps[0]
+                first = Step(Axis.DESC_OR_SELF, "r")
+                if rng.random() < 0.5:
+                    q = Seq((first, rest) if isinstance(rest, Step) else (first, *rest.steps))
+                else:
+                    q = Qual(first, (QPath(rest),))
+                got = oracle_satisfiable(d, q, depth, rep)
+                assert got is reference_search(d, q, depth, rep), render_xpath(q, arrows=True)
+                answers.append(None if got is None else render_tree(got))
+    found = [a for a in answers if a is not None]
+    assert len(found) > 80 and len(answers) - len(found) > 30 and len(set(found)) > 25
+
+
+def test_pickles_and_copies_of_a_searched_dtd_hold_no_oracle_state():
+    # the automata and the tree space live in the instance's `vars`; a
+    # pickle or copy starts without them and answers alike
+    d = parse_dtd(WORKED)
+    declared = set(vars(parse_dtd(WORKED)))
+    q = parse_xpath("↓*::r[↓::b]/↓::r/↓::c")
+    witness = oracle_satisfiable(d, q, 3, 2)
+    trees = [parse_tree(WORKED_TREE), parse_tree("r(a,c)"), parse_tree("r(b(a),r(c))")]
+    verdicts = [conforms(t, d) for t in trees]
+    assert verdicts == [True, False, True] and set(vars(d)) > declared
+    for other in (pickle.loads(pickle.dumps(d)), copy.copy(d), copy.deepcopy(d)):
+        assert other == d and set(vars(other)) == declared
+        assert render_tree(oracle_satisfiable(other, q, 3, 2)) == render_tree(witness)
+        assert [conforms(t, other) for t in trees] == verdicts
+        assert oracle._space(other, 3, 2) is not oracle._space(d, 3, 2)
 
 
 def test_building_a_space_splits_only_words_that_reach_the_count(monkeypatch):

@@ -127,6 +127,28 @@ def test_every_private_top_level_name_is_used_elsewhere():
     assert not orphans
 
 
+def test_every_dtd_cache_is_read_by_two_other_modules():
+    # a cache on `Dtd` that one module alone reads lives in that module,
+    # kept in the instance's `vars` the way `compile_dtd` keeps its graph
+    src = pathlib.Path(xpathsat.__file__).parent
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(src.glob("*.py"))}
+    dtd = next(n for n in trees["dtd.py"].body if isinstance(n, ast.ClassDef) and n.name == "Dtd")
+    cached = [
+        node.name for node in dtd.body
+        if isinstance(node, ast.FunctionDef)
+        and any(ast.unparse(dec).split(".")[-1] == "cached_property" for dec in node.decorator_list)
+    ]
+    readers = {
+        name: sorted(
+            module for module, tree in trees.items() if module != "dtd.py"
+            and any(isinstance(n, ast.Attribute) and n.attr == name for n in ast.walk(tree))
+        )
+        for name in cached
+    }
+    assert "covers" in readers
+    assert {name: got for name, got in readers.items() if len(got) < 2} == {}
+
+
 def test_only_cli_main_prints():
     # commands return their result and `cli.main` alone prints it, as text
     # or JSON, so output added to a command is written once
