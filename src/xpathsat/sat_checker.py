@@ -50,6 +50,10 @@ from .xpath import (
 
 # --- eval1 -------------------------------------------------------------------
 
+# the axes the deciders test, read once: a read off the Enum class is slow
+_CHILD, _PARENT, _FSIB, _PSIB = Axis.CHILD, Axis.PARENT, Axis.FSIB, Axis.PSIB
+
+
 class Level(Record):
     # nodes: one label and parent label, index order; dfs: one place, a dfs one
     __slots__ = __match_args__ = ("label", "nodes", "dfs")
@@ -120,7 +124,7 @@ def render_state(levels: tuple[Level, ...], beta: SibMap) -> str:
 def _admissible(u: SgNode, v: SgNode, axis: Axis) -> bool:
     """Can v hold a sibling of a node at u, after (fsib) or before (psib) it?
     A starred place can recur, so its own position stays admissible."""
-    if axis is Axis.FSIB:
+    if axis is _FSIB:
         return u.pos < v.pos if u.omega == "-" else u.pos <= v.pos
     return v.pos < u.pos if u.omega == "-" else v.pos <= u.pos
 
@@ -139,14 +143,6 @@ class _Frame:
         self.need: Optional[frozenset[str]] = None
         self.kids: dict[str, _Frame] = {}
         self.path: Optional[tuple[Key, DfsBits]] = None
-
-    def release(self, kid: _Frame) -> None:
-        """The run moves off `kid`, a child of this frame.  A dfs child is
-        the same node in every placement, so it stays bound with its demands;
-        any other can be a fresh witness next time, so it and everything
-        below it let go."""
-        if not kid.level.dfs:
-            del self.kids[kid.level.label]
 
 
 def _levels(stack: list[_Frame]) -> tuple[Level, ...]:
@@ -187,7 +183,8 @@ def eval1(graph: SchemaGraph, p: Path, trace: bool = True) -> Verdict:
     label are two frames.  Each step costs the same however long the run,
     and only the frame a step adds a demand to needs a fresh coverability
     check.  A run builds one `Level` per distinct group of target places,
-    and works each move from one level along one step out once.
+    and works each move from one level along one step out once; the step
+    loop reads its axes, lookups and current frame from constants and locals.
 
     With trace=False no state strings are rendered at all (final_state comes
     back None, the trace is empty and an uncoverable reason names only the
@@ -219,51 +216,58 @@ def eval1(graph: SchemaGraph, p: Path, trace: bool = True) -> Verdict:
     def nowhere(reason: str) -> Verdict:
         return unsat(f"{s} → ∅ (no admissible place)", reason)
 
+    covers, move_of = d.covers, moves.get
+    cur = stack[-1]
     for step in steps:
-        s = f"{ARROW[step.axis]}::{step.label}" if trace else ""  # only traces show it
-        cur = stack[-1]
-        if step.axis is Axis.PARENT:
+        axis, label = step.axis, step.label
+        s = f"{ARROW[axis]}::{label}" if trace else ""  # only traces show it
+        # leaving a frame: a dfs child is the same node in every placement, so
+        # it stays bound with its demands; any other lets go, and all below it
+        if axis is _PARENT:
             if len(stack) == 1:
                 return nowhere("no parent above the root")
             up = stack[-2]
-            if up.level.label != step.label:
-                return nowhere(f"parent is labeled {up.level.label!r}, not {step.label!r}")
-            up.release(stack.pop())
-        elif step.axis in (Axis.CHILD, Axis.FSIB, Axis.PSIB):
+            if up.level.label != label:
+                return nowhere(f"parent is labeled {up.level.label!r}, not {label!r}")
+            stack.pop()
+            if not cur.level.dfs:
+                del up.kids[cur.level.label]
+            cur = up
+        elif axis is _CHILD or axis is _FSIB or axis is _PSIB:
             # a sideways step replaces the current node by a sibling, so it
             # lands below the parent and demands its label there
-            sideways = step.axis is not Axis.CHILD
+            sideways = axis is not _CHILD
             if sideways and len(stack) == 1:
                 return nowhere("the root has no siblings")
             at = stack[-2] if sideways else cur
             # where a step lands hangs on the current level (whose places
             # fix their parent's label) and the step alone, so a run works
             # each kind of move out once
-            kind = (id(cur.level), step.axis, step.label)
-            move = moves.get(kind)
+            kind = (id(cur.level), axis, label)
+            move = move_of(kind)
             if move is None:
-                targets = graph.children_with_label(at.level.label, step.label)
+                targets = graph.children_with_label(at.level.label, label)
                 if sideways:
                     targets = tuple(
                         v for v in targets
-                        if any(_admissible(u, v, step.axis) for u in cur.level.nodes)
+                        if any(_admissible(u, v, axis) for u in cur.level.nodes)
                     )
                 if not targets:
                     return nowhere(
-                        f"no admissible sibling labeled {step.label!r}" if sideways
-                        else f"no place labeled {step.label!r} below {cur.level.label!r}"
+                        f"no admissible sibling labeled {label!r}" if sideways
+                        else f"no place labeled {label!r} below {cur.level.label!r}"
                     )
                 move = by_targets.get(targets)
                 if move is None:
                     dfs = len(targets) == 1 and targets[0].is_dfs
-                    move = by_targets[targets] = (Level(step.label, targets, dfs), psi(targets[0]))
+                    move = by_targets[targets] = (Level(label, targets, dfs), psi(targets[0]))
                 moves[kind] = move
             level, values = move
             need = at.need
             if need is None or not values <= need:
                 # the demands below `at` start or grow: check them afresh
                 at.need = values if need is None else need | values
-                if values and not coverable(d.covers[at.level.label], at.need):
+                if values and not coverable(covers[at.level.label], at.need):
                     base = stack[:-1] if sideways else stack
                     if trace:
                         beta = _beta(stack[0])
@@ -274,15 +278,17 @@ def eval1(graph: SchemaGraph, p: Path, trace: bool = True) -> Verdict:
                     key = tuple(f.level.label for f in base)
                     return unsat(None, f"requirements at {render_key(key)} are not coverable")
             if sideways:
-                at.release(stack.pop())
+                stack.pop()
+                if not cur.level.dfs:
+                    del at.kids[cur.level.label]
             # only a dfs child stays bound once left, and a dfs child is the
             # one node of its label below `at`
-            kid = at.kids.get(step.label)
-            if kid is None:
-                kid = at.kids[step.label] = _Frame(level)
-            stack.append(kid)
+            cur = at.kids.get(label)
+            if cur is None:
+                cur = at.kids[label] = _Frame(level)
+            stack.append(cur)
         else:
-            raise UnsupportedFragment(f"axis {step.axis.value} is outside eval1")
+            raise UnsupportedFragment(f"axis {axis.value} is outside eval1")
         if trace:
             lines.append(f"{s} → {render_state(_levels(stack), _beta(stack[0]))}")
 
@@ -346,14 +352,14 @@ def eval2(
     d = graph.dtd
     out: list[Eval2Tuple]
     match p:
-        case Step(Axis.CHILD, label):
+        case Step(axis, label) if axis is _CHILD:
             out = []
             for u in _froms(graph, p, starts):
                 rel, bits = (u.label,), (u.is_dfs,)
                 for v in graph.children_with_label(u.label, label):
                     post = SibMap((SibEntry(rel, psi(v), bits),))
                     out.append(Eval2Tuple(u, SibMap.empty(), v, post, rel, bits))
-        case Step(Axis.FSIB | Axis.PSIB as axis, label):
+        case Step(axis, label) if axis is _FSIB or axis is _PSIB:
             out = []
             for u in _froms(graph, p, starts):
                 for v in graph.children_with_label(u.parent_label, label):
@@ -407,7 +413,7 @@ def _froms(graph: SchemaGraph, step: Step, starts: Optional[AbstractSet[SgNode]]
     if starts is not None:
         return starts
     parents = dict.fromkeys(v.parent_label for v in graph.places_labeled(step.label))
-    group = graph.places_labeled if step.axis is Axis.CHILD else graph.children
+    group = graph.places_labeled if step.axis is _CHILD else graph.children
     return [u for lbl in parents for u in group(lbl)]
 
 

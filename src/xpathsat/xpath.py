@@ -20,10 +20,13 @@ qualified, and a run of one connective is one `QAnd` or `QOr`: `and` and
 `or` bind equally and group to the right, so `a or b and c and d` is
 `QOr((a, QAnd((b, c, d))))`.  Nesting too deep to parse is a ParseError.
 
-The lexer reads each well-formed step (axis, `::`, label) whole, in one
-match, so a run of unqualified steps parses without a token-by-token walk.
-A parsed query holds one `Step` object per distinct step: equal steps share
-it.  `normalize` returns its input, not a copy, when nothing in it splits.
+The lexer splits a query at its separators (`/ [ ] ( ) |u| ∪`) in one call
+and lexes each distinct piece between them once, reading a well-formed step
+(axis, `::`, label) whole.  A chain, `/`-separated pieces that are each one
+whole step, is built from its pieces' steps without a parser walk, and
+elsewhere a run of unqualified steps parses without a token-by-token walk.
+A parsed query holds one `Step` object per distinct step, however spelled.
+`normalize` returns its input, not a copy, when nothing in it splits.
 `operands` alone names a node's direct parts, which `size` and `features`
 visit; the printer and `normalize` take qualifiers as they take paths, and
 the printer refuses (ValueError) a connective that no text groups.
@@ -129,13 +132,15 @@ Path = Step | Seq | Union | Qual
 
 _AXIS_BY_NAME = {a.value: a for a in Axis}
 
-# a whole well-formed step (axis, `::`, label) with the `/` after it if one
-# follows, one token, whitespace, or (last group) a character no token
-# starts with.  An axis word or arrow that opens a step reads as the token
-# it would be on its own.
+# the separators: each is a token, and no other token holds one
+_split = re.compile(r"(\|u\||[/\[\]()∪])").split
+
+# in a piece: a whole well-formed step (axis, `::`, label), one token,
+# whitespace, or (last group) a character no token starts with.  An axis
+# word or arrow that opens a step reads as the token it would be on its own.
 _token = re.compile(
-    r"([↓↑]\*?|[→←][⁺+]|" + "|".join(_AXIS_BY_NAME) + rf")\s*::\s*({cm.LABEL})(\s*/)?"
-    rf"|(::|\|u\||[↓↑]\*|[→←][⁺+]|[↓↑∪/\[\]()]|{cm.LABEL})|\s+|(.)"
+    r"([↓↑]\*?|[→←][⁺+]|" + "|".join(_AXIS_BY_NAME) + rf")\s*::\s*({cm.LABEL})"
+    rf"|(::|[↓↑]\*?|[→←][⁺+]|{cm.LABEL})|\s+|(.)"
 )
 
 
@@ -145,27 +150,37 @@ class _StepToken(str):
     step: Step
 
 
-def _tokenize(text: str) -> list[str]:
-    """The query's tokens; a step read whole is its axis token, `::` and its
-    label.  The tokens of equal step texts are made once, on their first
-    sight, and equal steps share one Step."""
-    toks: list[str] = []
-    runs: dict[tuple[str, str, str], tuple[str, ...]] = {}  # a step's text -> its tokens
+def _pieces(text: str) -> tuple[list[str], list[str] | None, dict[str, list[str]]]:
+    """The query's pieces, its separators (None when all are `/`) and each
+    distinct piece's tokens; a step read whole is its axis token, `::` and
+    its label.  Equal steps share one Step."""
+    slashes = not any(map(text.__contains__, "[]()∪|"))  # no separator but `/`
+    parts = text.split("/") if slashes else _split(text)
+    pieces, seps = (parts, None) if slashes else (parts[::2], parts[1::2])
+    runs: dict[str, list[str]] = {}
     steps: dict[Step, Step] = {}
-    for axis, label, slash, tok, bad in _token.findall(text):
-        if axis:
-            run = runs.get((axis, label, slash))
-            if run is None:
+    for piece in dict.fromkeys(pieces):  # in text order: the first bad character raises
+        run = runs[piece] = []
+        for axis, label, tok, bad in _token.findall(piece):
+            if axis:
                 head = _StepToken(axis)
                 step = Step(_ALIASES.get(axis) or _AXIS_BY_NAME[axis], label)
                 head.step = steps.setdefault(step, step)
-                run = (head, "::", label, "/") if slash else (head, "::", label)
-                runs[axis, label, slash] = run
-            toks += run
-        elif tok:
-            toks.append("|u|" if tok == "∪" else tok)
-        elif bad:
-            raise ParseError(f"unexpected character {bad!r} in query")
+                run += (head, "::", label)
+            elif tok:
+                run.append(tok)
+            elif bad:
+                raise ParseError(f"unexpected character {bad!r} in query")
+    return pieces, seps, runs
+
+
+def _tokenize(text: str, split: tuple | None = None) -> list[str]:
+    """The query's tokens: each piece's, and the separators between them."""
+    pieces, seps, runs = split or _pieces(text)
+    toks = runs[pieces[0]][:]
+    for sep, piece in zip(seps or ["/"] * len(pieces), pieces[1:]):
+        toks.append("|u|" if sep == "∪" else sep)
+        toks += runs[piece]
     return toks
 
 
@@ -251,7 +266,14 @@ _CONNECTIVES = {"and": QAnd, "or": QOr}
 
 
 def parse_xpath(text: str) -> Path:
-    return _Parser(_tokenize(text), "query").whole(_Parser.parse_pathexpr)
+    """The query's syntax tree.  A chain, `/`-separated pieces that are each
+    one whole step, maps its pieces to their steps with no parser walk; any
+    other query is parsed from its tokens."""
+    pieces, seps, runs = split = _pieces(text)
+    if seps is None and all(len(run) == 3 and type(run[0]) is _StepToken for run in runs.values()):
+        steps = {piece: run[0].step for piece, run in runs.items()}
+        return Seq(tuple(map(steps.__getitem__, pieces))) if len(pieces) > 1 else steps[text]
+    return _Parser(_tokenize(text, split), "query").whole(_Parser.parse_pathexpr)
 
 
 # --- printing ----------------------------------------------------------------

@@ -27,6 +27,7 @@ from xpathsat import (
 from xpathsat.constraints import SibMap, consistent, render_map
 from xpathsat import sat_checker
 from xpathsat.oracle import iter_trees, oracle_satisfiable, parse_tree, render_tree, satisfies
+from xpathsat.schema_graph import SchemaGraph
 from xpathsat.sat_checker import (
     Eval2Tuple, Level, _accepting, compile_dtd, eval1, eval2, render_tuple_set,
 )
@@ -259,6 +260,35 @@ def test_eval1_builds_one_level_per_place_group(monkeypatch):
     r = eval1(worked_graph(), parse_xpath("/".join(["↓::r"] * 10_000)), trace=False)
     assert r.sat
     assert built <= 3
+
+
+@pytest.mark.parametrize("unit", ["↓::r/↓::c/↑::r", "↓::r/(↓::r/→⁺::r)"])
+def test_eval1_cost_per_step_does_not_grow_with_the_query(monkeypatch, unit):
+    # Counts, not times.  eval1 asks the graph for places only on a move it
+    # has not seen, a move being (level, axis, label), and a level stands
+    # for one group of target places.  On the worked graph the places
+    # labeled r below r are u1 and u5, and c below r is u4 alone, so:
+    # - `↓::r/↓::c/↑::r` moves from the root's level by ↓::r to {u1,u5},
+    #   from {u1,u5} by ↓::c to {u4}, and (from the second unit on) from
+    #   {u1,u5} by ↓::r again; ↑ asks nothing: 3 moves;
+    # - `↓::r/(↓::r/→⁺::r)` moves from the root's level by ↓::r to {u1,u5},
+    #   from {u1,u5} by ↓::r to {u1,u5}, and from {u1,u5} by →⁺::r to the
+    #   r places after or at a starred u1 or u5, {u1,u5} again: 3 moves.
+    # A coverability check follows only a demand that starts or grows, at
+    # most one per step.  The first query parses as a chain and the second
+    # through the parser, so both routes to a Seq are pinned.
+    graph = worked_graph()
+    seen = []
+    for k in (100, 1_000):
+        p = parse_xpath("/".join([unit] * k))
+        counts: dict[str, int] = {}
+        with monkeypatch.context() as m:
+            _count_calls(m, SchemaGraph, "children_with_label", counts)
+            _count_calls(m, sat_checker, "coverable", counts)
+            assert eval1(graph, p, trace=False).sat
+        assert counts.get("coverable", 0) <= len(p.steps) == 3 * k
+        seen.append(counts["children_with_label"])
+    assert seen == [3, 3]
 
 
 # ------------------------------------------------------------------- eval2

@@ -208,6 +208,49 @@ def test_a_chain_shares_its_steps_and_normalizes_to_itself():
     assert normalize(p) is p
 
 
+# whole steps in every spelling of one step, whitespace a step may hold
+# around `::` and `/`, and pieces that are not one whole step
+_CHAIN_STEPS = ["child::r", "↓::r", "→+::b", "→⁺::b", "fsib::b"]
+_CHAIN_SPACES = ["", "", "", " ", "\t", "\n", "\x1c"]
+_NOT_A_STEP = ["foo::a", "↓::a::b", "↓::", "↓::and", "↓::a[↓::b]", "|u|", ""]
+
+
+def _chain_text(rng) -> str:
+    """Steps joined by `/`, spaced at random, with at most one piece that is
+    not a whole step and sometimes an empty piece at either end."""
+    def space() -> str:
+        return rng.choice(_CHAIN_SPACES)
+
+    def step() -> str:
+        axis, label = rng.choice(_CHAIN_STEPS).split("::")
+        return f"{space()}{axis}{space()}::{space()}{label}{space()}"
+
+    pieces = [step() for _ in range(rng.randint(1, 8))]
+    if rng.random() < 0.5:
+        pieces.insert(rng.randint(0, len(pieces)), rng.choice(_NOT_A_STEP))
+    return "/".join(pieces)
+
+
+def test_a_chain_parses_as_the_reference_parser_reads_it():
+    rng = random.Random(31)
+    clean = 0
+    for _ in range(5_000):
+        text = _chain_text(rng)
+        got = _parsed(parse_xpath, text)
+        assert got == _reference_parsed(text), repr(text)
+        clean += not isinstance(got, str)
+    assert 1_500 < clean < 4_000, clean
+
+
+def test_equal_steps_spelled_apart_are_one_step():
+    rng = random.Random(31)
+    p = parse_xpath("/".join(rng.choice(["child::r", "↓::r", " ↓ :: r\t"]) for _ in range(100_000)))
+    assert p == Seq((Step(Axis.CHILD, "r"),) * 100_000)
+    assert len({id(s) for s in p.steps}) == 1
+    p = parse_xpath("/".join(rng.choice(["→+::b", "→⁺::b", "fsib::b", "↓::r"]) for _ in range(100_000)))
+    assert len({id(s) for s in p.steps}) == 2
+
+
 # ----------------------------------------------------------------- rendering
 
 
